@@ -233,7 +233,7 @@ main(int argc, char **argv)
         fc.shardTargets = 2;
         CardFleet fleet(fc);
         FleetLease lease = fleet.lease();
-        FleetScheduleResult res = scheduleFleetTargets(
+        ScheduleResult res = scheduleFleetTargets(
             lease, fleet_targets,
             SchedulePolicy::AsynchronousParallel);
         if (cards == 1)

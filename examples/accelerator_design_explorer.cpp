@@ -17,8 +17,8 @@
 #include <cstdlib>
 
 #include "accel/resource_model.hh"
+#include "core/realigner_api.hh"
 #include "core/workload.hh"
-#include "host/accelerated_system.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -68,9 +68,12 @@ main(int argc, char **argv)
 
                     ResourceEstimate res = estimateResources(cfg);
                     std::vector<Read> reads = chr.reads;
-                    AcceleratedIrSystem sys(cfg, sched);
-                    AcceleratedRunResult run = sys.realignContig(
-                        wl.reference, chr.contig, reads);
+                    BackendRunResult run =
+                        makeAcceleratedBackend("explore",
+                                               "design point", cfg,
+                                               sched)
+                            ->realignContig(wl.reference,
+                                            chr.contig, reads);
 
                     bool is_paper = units == 32 && width == 32 &&
                         prune &&
@@ -87,8 +90,7 @@ main(int argc, char **argv)
                          Table::pct(res.bramUtilization, 0),
                          res.fits ? "y" : "n",
                          Table::num(run.fpgaSeconds * 1e3, 2),
-                         Table::pct(
-                             run.fpga.meanUnitUtilization, 0),
+                         Table::pct(run.unitUtilization, 0),
                          is_paper ? "<- paper design" : ""});
                 }
             }

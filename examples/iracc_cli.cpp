@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -104,6 +105,9 @@ cmdSimulate(const Args &args)
 
     GenomeWorkload wl = buildWorkload(params);
 
+    // A directory that cannot be created fails the open below.
+    std::error_code ec;
+    std::filesystem::create_directories(out, ec);
     std::ofstream fa(out + "/ref.fa");
     fatal_if(!fa, "cannot write to '%s'", out.c_str());
     writeFasta(fa, wl.reference);
@@ -180,8 +184,8 @@ cmdRealign(const Args &args)
     bool trace = !trace_path.empty();
     bool counters = trace || args.getFlag("--counters", false);
 
-    // Hardened execution: --harden 1 routes an accelerated backend
-    // through the self-healing path (host/hardened_executor.hh);
+    // Hardened execution: --harden 1 turns on the dispatch engine's
+    // checks and recovery (host/scheduler.hh);
     // --fault-plan SPEC additionally injects the given fault
     // schedule into the simulated card (and implies --harden).
     // The exit code reports the run's health: 0 ok, 3 degraded

@@ -13,19 +13,12 @@
  * fleet itself persists across leases and accumulates the per-card
  * accounting (`fleet.*` metrics, see docs/OBSERVABILITY.md).
  *
- * Work is dispatched in shards (runs of consecutive targets); shard
- * i's home card is i % cards.  With stealing enabled the host
- * scheduler (host/scheduler.hh, scheduleFleetTargets) instead
- * places each shard on the least-loaded card, counting displaced
- * shards as steals.  Datapath results are pure functions of the
- * marshalled bytes, so any placement produces bit-identical
- * decisions; only the modeled makespan changes.
- *
- * Per-card fault attachment: FleetConfig::cardPlans[k] is card k's
- * FaultPlan (missing entries = fault-free).  The hardened executor
- * (host/hardened_executor.hh) builds one FaultInjector per card per
- * lease, so occurrence counters restart per contig exactly like the
- * single-card path.
+ * The dispatch engine (host/scheduler.hh) places work in shards
+ * (runs of consecutive targets) on the leased cards; datapath
+ * results are pure functions of the marshalled bytes, so any
+ * placement produces bit-identical decisions.  FleetConfig::
+ * cardPlans[k] is card k's FaultPlan, attached only by a hardened
+ * run, with a fresh FaultInjector per card per lease.
  */
 
 #ifndef IRACC_ACCEL_CARD_FLEET_HH
@@ -60,8 +53,8 @@ struct FleetConfig
 
     /**
      * Per-card fault schedules, indexed by card id; cards beyond
-     * the vector's size are fault-free.  Only the hardened
-     * execution path attaches them.
+     * the vector's size are fault-free.  Only a hardened run
+     * attaches them.
      */
     std::vector<FaultPlan> cardPlans;
 

@@ -1,8 +1,8 @@
 #include "core/realigner_api.hh"
 
 #include <algorithm>
+#include <optional>
 
-#include "host/accelerated_system.hh"
 #include "realign/whd_simd.hh"
 #include "util/logging.hh"
 
@@ -51,50 +51,18 @@ class SoftwareBackend : public RealignerBackend
     SoftwareRealignerConfig cfg;
 };
 
-/** Simulated-FPGA backend: accelerated Execute stage. */
+/**
+ * Simulated-FPGA backend: the dispatch engine's Execute stage over
+ * one shared CardFleet, hardened when it carries a HardenPolicy.
+ */
 class AcceleratedBackend : public RealignerBackend
 {
   public:
     AcceleratedBackend(std::string name, std::string desc,
-                       FleetConfig fleet, SchedulePolicy policy)
+                       FleetConfig fleet, SchedulePolicy policy,
+                       std::optional<HardenPolicy> harden)
         : backendName(std::move(name)), desc(std::move(desc)),
-          system(std::move(fleet), policy)
-    {
-    }
-
-    std::string name() const override { return backendName; }
-    std::string description() const override { return desc; }
-
-    std::unique_ptr<ExecuteStage>
-    makeExecuteStage(uint32_t) const override
-    {
-        // executeTargets() draws a fresh lease from the backend's
-        // shared CardFleet per call, so each contig gets its own
-        // per-card virtual timelines while the fleet accumulates
-        // the cross-contig accounting.
-        return std::make_unique<AcceleratedExecuteStage>(system);
-    }
-
-    const FleetConfig *
-    fleetShape() const override
-    {
-        return &system.fleetConfig();
-    }
-
-  private:
-    std::string backendName;
-    std::string desc;
-    AcceleratedIrSystem system;
-};
-
-/** Hardened simulated-FPGA backend: self-healing Execute stage. */
-class HardenedBackend : public RealignerBackend
-{
-  public:
-    HardenedBackend(std::string name, std::string desc,
-                    FleetConfig fleet_cfg, HardenPolicy policy)
-        : backendName(std::move(name)), desc(std::move(desc)),
-          fleet(std::move(fleet_cfg)), policy(policy)
+          fleet(std::move(fleet)), policy(policy), harden(harden)
     {
     }
 
@@ -105,14 +73,15 @@ class HardenedBackend : public RealignerBackend
     makeExecuteStage(uint32_t) const override
     {
         // Each stage (= contig) leases fresh per-card simulators
-        // and FaultInjector instances from the shared fleet, so
-        // the plans' occurrence counters restart per contig and
-        // contig-parallel runs stay deterministic.
-        return std::make_unique<HardenedExecuteStage>(fleet,
-                                                      policy);
+        // (and, hardened, fresh FaultInjectors) from the shared
+        // fleet, so contig-parallel runs stay deterministic while
+        // the fleet accumulates the cross-contig accounting.
+        return std::make_unique<AcceleratedExecuteStage>(
+            fleet, policy, harden ? &*harden : nullptr);
     }
 
-    const FleetConfig *fleetShape() const override
+    const FleetConfig *
+    fleetShape() const override
     {
         return &fleet.config();
     }
@@ -121,7 +90,8 @@ class HardenedBackend : public RealignerBackend
     std::string backendName;
     std::string desc;
     CardFleet fleet;
-    HardenPolicy policy;
+    SchedulePolicy policy;
+    std::optional<HardenPolicy> harden;
 };
 
 /** Registry configuration of one accelerated backend name. */
@@ -197,11 +167,12 @@ makeAcceleratedBackend(std::string name, std::string description,
 
 std::unique_ptr<RealignerBackend>
 makeAcceleratedBackend(std::string name, std::string description,
-                       FleetConfig fleet, SchedulePolicy policy)
+                       FleetConfig fleet, SchedulePolicy policy,
+                       std::optional<HardenPolicy> harden)
 {
     return std::make_unique<AcceleratedBackend>(
         std::move(name), std::move(description), std::move(fleet),
-        policy);
+        policy, harden);
 }
 
 std::unique_ptr<RealignerBackend>
@@ -220,9 +191,9 @@ std::unique_ptr<RealignerBackend>
 makeHardenedBackend(std::string name, std::string description,
                     FleetConfig fleet, HardenPolicy policy)
 {
-    return std::make_unique<HardenedBackend>(
+    return makeAcceleratedBackend(
         std::move(name), std::move(description), std::move(fleet),
-        policy);
+        SchedulePolicy::AsynchronousParallel, policy);
 }
 
 std::unique_ptr<RealignerBackend>
@@ -243,9 +214,9 @@ makeHardenedBackend(const std::string &name, bool perf_counters,
     fleet.cards = cards;
     fleet.stealing = stealing;
     fleet.cardPlans = {std::move(plan)};
-    return makeHardenedBackend(
+    return makeAcceleratedBackend(
         name, std::string(entry.desc) + " (hardened)",
-        std::move(fleet), policy);
+        std::move(fleet), entry.policy, policy);
 }
 
 std::unique_ptr<RealignerBackend>
@@ -372,6 +343,14 @@ differentialVariants(const std::vector<uint32_t> &job_threads)
             out.push_back(std::move(v));
         }
     }
+    // Synchronous batches (the iracc-taskp design point: scalar
+    // units) must be as output-invisible as async refill.
+    BackendVariant taskp;
+    taskp.accelerated = true;
+    taskp.prune = true;
+    taskp.taskp = true;
+    taskp.label = "accelerated/prune=on/jobs=1/taskp-sync";
+    out.push_back(std::move(taskp));
     return out;
 }
 
@@ -387,20 +366,21 @@ makeVariantBackend(const BackendVariant &variant)
             variant.label, "differential software design point",
             cfg);
     }
-    AccelConfig cfg = AccelConfig::paperOptimized();
+    AccelConfig cfg = variant.taskp ? AccelConfig::taskParallelOnly()
+                                    : AccelConfig::paperOptimized();
     cfg.pruning = variant.prune;
     FleetConfig fleet = FleetConfig::singleCard(cfg);
     fleet.cards = variant.cards == 0 ? 1 : variant.cards;
     fleet.stealing = variant.stealing;
-    if (variant.hardened) {
-        return makeHardenedBackend(
-            variant.label,
-            "differential hardened accelerated design point",
-            std::move(fleet));
-    }
+    std::optional<HardenPolicy> harden;
+    if (variant.hardened)
+        harden = HardenPolicy{};
     return makeAcceleratedBackend(
         variant.label, "differential accelerated design point",
-        std::move(fleet), SchedulePolicy::AsynchronousParallel);
+        std::move(fleet),
+        variant.taskp ? SchedulePolicy::SynchronousParallel
+                      : SchedulePolicy::AsynchronousParallel,
+        harden);
 }
 
 } // namespace iracc

@@ -33,6 +33,7 @@
 #define IRACC_CORE_REALIGNER_API_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -134,40 +135,35 @@ std::unique_ptr<RealignerBackend> makeAcceleratedBackend(
  * backend owns one shared CardFleet and every contig's Execute
  * stage draws a lease from it.  Results are bit-identical to the
  * single-card shape for any (cards, stealing); only the modeled
- * timing and the `fleet.*` accounting change.
+ * timing and the `fleet.*` accounting change.  With @p harden set
+ * the dispatch engine runs hardened (host/scheduler.hh), with
+ * FleetConfig::cardPlans attached to the cards' fault hooks; a
+ * fault-free hardened run is bit- and cycle-identical to a plain
+ * one.
  */
 std::unique_ptr<RealignerBackend> makeAcceleratedBackend(
     std::string name, std::string description, FleetConfig fleet,
-    SchedulePolicy policy);
+    SchedulePolicy policy,
+    std::optional<HardenPolicy> harden = std::nullopt);
 
-/**
- * Create a hardened accelerated backend with an explicit
- * configuration: the same simulated card, driven through the
- * self-healing execution path (host/hardened_executor.hh) with
- * @p plan attached to its fault hooks.  An empty plan yields
- * bit-identical results to makeAcceleratedBackend.
- */
+/** Hardened single-card backend with @p plan on its fault hooks
+ *  (asynchronous scheduling). */
 std::unique_ptr<RealignerBackend> makeHardenedBackend(
     std::string name, std::string description, AccelConfig config,
     FaultPlan plan = {}, HardenPolicy policy = {});
 
-/**
- * Create a hardened accelerated backend over an explicit card
- * fleet.  Per-card fault schedules ride in
- * FleetConfig::cardPlans; a wedged card's targets migrate to the
- * next usable card (see host/hardened_executor.hh).
- */
+/** Hardened backend over an explicit card fleet (asynchronous
+ *  scheduling; per-card plans in FleetConfig::cardPlans). */
 std::unique_ptr<RealignerBackend> makeHardenedBackend(
     std::string name, std::string description, FleetConfig fleet,
     HardenPolicy policy = {});
 
 /**
- * Hardened variant of a registry backend: resolves @p name to its
- * accelerated configuration and wraps it in the hardened path.
- * fatal() on software names -- there is no device to harden.
- * @p cards / @p stealing provision a multi-card fleet; @p plan
- * attaches to card 0 (use the FleetConfig overload for per-card
- * schedules).
+ * Hardened variant of a registry backend: its accelerated
+ * configuration and scheduling policy, hardened.  fatal() on
+ * software names -- there is no device to harden.  @p cards /
+ * @p stealing provision a multi-card fleet; @p plan attaches to
+ * card 0 (use the FleetConfig overload for per-card schedules).
  */
 std::unique_ptr<RealignerBackend> makeHardenedBackend(
     const std::string &name, bool perf_counters, bool perf_trace,
@@ -219,6 +215,13 @@ struct BackendVariant
 
     /** Accelerated only: cross-card work stealing. */
     bool stealing = true;
+
+    /**
+     * Accelerated only: the iracc-taskp design point -- scalar
+     * units fed in synchronous batches -- instead of the paper's
+     * 32-wide units with asynchronous refill.
+     */
+    bool taskp = false;
 };
 
 /**
@@ -227,8 +230,9 @@ struct BackendVariant
  * kernel this host supports -- a software design point pair
  * (prune off/on) pinned to that kernel, plus the fleet design
  * points cards in {2, 4} x stealing {on, off} (any card placement
- * must be output-invisible).  The first entry is the oracle: the
- * unpruned single-threaded software baseline.
+ * must be output-invisible), plus the synchronous-batch iracc-taskp
+ * point.  The first entry is the oracle: the unpruned
+ * single-threaded software baseline.
  */
 std::vector<BackendVariant> differentialVariants(
     const std::vector<uint32_t> &job_threads = {1, 4});

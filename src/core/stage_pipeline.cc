@@ -4,6 +4,7 @@
 
 #include "obs/flight_recorder.hh"
 #include "obs/obs.hh"
+#include "util/logging.hh"
 #include "util/timer.hh"
 
 namespace iracc {
@@ -32,40 +33,25 @@ AcceleratedExecuteStage::execute(const PreparedContig &prepared,
                                  uint64_t rng_seed)
 {
     (void)rng_seed; // the accelerated datapath is RNG-free
-    AccelExecuteResult run = system.executeTargets(prepared);
-
-    ExecuteOutcome out;
-    out.decisions = std::move(run.decisions);
-    out.whd = run.fpga.whd;
-    out.seconds = run.fpgaSeconds + run.hostSeconds;
-    out.simulated = true;
-    out.fpgaSeconds = run.fpgaSeconds;
-    out.unitUtilization = run.fpga.meanUnitUtilization;
-    if (run.makespan > 0) {
-        out.dmaFraction =
-            static_cast<double>(run.fpga.dmaBusyCycles) /
-            static_cast<double>(run.makespan);
-    }
-    out.perf = std::move(run.perf);
-    out.fleet = std::move(run.fleet);
-    out.targetLatencyCycles = run.targetLatencyCycles;
-    out.targetLatencyNanos = run.targetLatencyNanos;
-    return out;
-}
-
-ExecuteOutcome
-HardenedExecuteStage::execute(const PreparedContig &prepared,
-                              uint64_t rng_seed)
-{
-    (void)rng_seed; // the accelerated datapath is RNG-free
+    panic_if(prepared.marshalled.size() != prepared.inputs.size(),
+             "accelerated Execute stage needs marshalled targets "
+             "(prepareStage(..., marshal=true))");
     FleetLease lease = fleet.lease();
-    HardenedExecuteResult run =
-        hardenedExecuteFleetTargets(lease, prepared, policy);
+    ScheduleResult run = scheduleFleetTargets(
+        lease, prepared.marshalled, policy, harden);
 
+    // Translate raw accelerator outputs into decisions (host work,
+    // measured separately from the simulated FPGA time).
     ExecuteOutcome out;
-    out.decisions = std::move(run.decisions);
-    out.whd = run.whd;
-    out.seconds = run.fpgaSeconds + run.hostSeconds;
+    Timer host_timer;
+    out.decisions.reserve(prepared.inputs.size());
+    for (size_t t = 0; t < prepared.inputs.size(); ++t) {
+        const IrComputeResult &res = run.results[t];
+        out.decisions.push_back(outputToDecision(
+            prepared.inputs[t], res.bestConsensus, res.output));
+    }
+    out.whd = run.fpga.whd;
+    out.seconds = run.fpgaSeconds + host_timer.seconds();
     out.simulated = true;
     out.fpgaSeconds = run.fpgaSeconds;
     out.unitUtilization = run.fpga.meanUnitUtilization;

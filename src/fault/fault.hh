@@ -278,32 +278,16 @@ struct RecoveryStats
     }
 };
 
-/** Knobs of the hardened execution path (host/hardened_executor). */
+/**
+ * Hardening of the dispatch engine (host/scheduler.hh); attaching
+ * one turns the checks and recovery on.  Retry and quarantine
+ * bounds are fixed in the engine (docs/ROBUSTNESS.md).
+ */
 struct HardenPolicy
 {
-    /** Verify input images against a device readback before
-     *  ir_start. */
-    bool verifyInputs = true;
-
-    /** Verify output buffers against the response's bytes. */
-    bool verifyOutputs = true;
-
-    /** Hardware attempts per target before falling back. */
-    uint32_t maxAttempts = 3;
-
-    /** Output-corruption strikes before a unit is quarantined
-     *  (wedged units are quarantined immediately). */
-    uint32_t quarantineThreshold = 2;
-
     /** Resolve exhausted targets on the host datapath model; when
      *  false they fail (no-op decision, RunStatus::Failed). */
     bool softwareFallback = true;
-
-    /** Watchdog budget: base cycles per dispatched round... */
-    uint64_t watchdogBaseCycles = 1ull << 24;
-
-    /** ...plus this many cycles per in-flight target. */
-    uint64_t watchdogPerTargetCycles = 1ull << 24;
 };
 
 } // namespace iracc

@@ -1,9 +1,10 @@
 /**
  * @file
- * Host-side target scheduling over the sea of IR units -- paper
- * Figure 7 and Section IV.
+ * The accelerated dispatch engine -- paper Figure 7 and Section IV.
  *
- * Two policies are modeled:
+ * One event-driven engine drives marshalled targets through the IR
+ * units of every card of a fleet lease.  Fresh targets are fed
+ * under one of two policies:
  *
  *  - SynchronousParallel: transfer a batch of numUnits targets,
  *    launch all units, and wait for every unit to finish before
@@ -15,17 +16,36 @@
  *    from the MMIO "response valid" register) immediately triggers
  *    the DMA + launch of the next pending target on that unit,
  *    keeping all units busy (the paper's 6.2x average gain).
+ *
+ * Placement: a one-card fleet runs the whole list in order; more
+ * cards take shards of FleetConfig::shardTargets, round-robin or,
+ * with stealing, greedily by estimated load (LPT).  Every target's
+ * datapath result is precomputed on a thread pool -- it is a pure
+ * function of the marshalled bytes -- so LPT has its costs and the
+ * event loop only replays cycle costs.
+ *
+ * Hardening is optional state on the same run.  With a HardenPolicy
+ * attached, the engine adds what a deployed cloud-FPGA driver needs
+ * (docs/ROBUSTNESS.md): CRC-32 checks of the input images before
+ * ir_start and of the output buffers at the response, a watchdog
+ * sweep when the event queue goes quiet with targets in flight,
+ * bounded retry preferring another unit, unit quarantine, software
+ * fallback, and migration off a wedged card.  Each card's
+ * FleetConfig::cardPlans fault schedule is attached to it, and a
+ * card with a non-empty plan computes from the bytes in device
+ * memory, so undetected corruption propagates.  Fault-free, the
+ * hardened run is cycle-identical to the plain one.
  */
 
 #ifndef IRACC_HOST_SCHEDULER_HH
 #define IRACC_HOST_SCHEDULER_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "accel/card_fleet.hh"
 #include "accel/fpga_system.hh"
+#include "fault/fault.hh"
 #include "obs/latency_histogram.hh"
 #include "realign/marshal.hh"
 
@@ -40,70 +60,39 @@ enum class SchedulePolicy {
 /** @return display name of a policy. */
 const char *schedulePolicyName(SchedulePolicy policy);
 
-/** Outcome of scheduling a target list onto the FPGA. */
+/** Outcome of one dispatch run, plain or hardened. */
 struct ScheduleResult
 {
-    /** Per-target datapath results, indexed like the input list. */
-    std::vector<IrComputeResult> results;
-
-    /** Final cycle when the last response was collected. */
-    Cycle makespan = 0;
-
-    /** Per-unit, per-target execution records. */
-    std::vector<UnitTimelineEntry> timeline;
-
-    /** System statistics snapshot. */
-    FpgaRunStats fpga;
-
     /**
-     * Performance-counter snapshot (perf.enabled == false unless
-     * the AccelConfig asked for counters/tracing).
+     * Per-target results, indexed like the input list: the
+     * datapath result with `output` read back from device memory
+     * (the host model's on a software fallback, all-zero flags on
+     * a failed target).  Bit-identical for any placement.
      */
-    PerfReport perf;
-
-    /**
-     * Always-on per-target latency (dispatch-ready to response
-     * collected), in the cycle domain and in modeled nanoseconds.
-     * Deterministic; merges exactly up through contigs and jobs.
-     */
-    obs::LatencyHistogram targetLatencyCycles;
-    obs::LatencyHistogram targetLatencyNanos;
-};
-
-/**
- * Run every marshalled target through the FPGA system under the
- * given policy.  The call drives the event queue to completion.
- */
-ScheduleResult scheduleTargets(
-    FpgaSystem &sys, const std::vector<MarshalledTarget> &targets,
-    SchedulePolicy policy);
-
-/** Outcome of scheduling a target list onto a card fleet. */
-struct FleetScheduleResult
-{
-    /** Per-target datapath results, indexed like the input list
-     *  (bit-identical for any card count or placement). */
     std::vector<IrComputeResult> results;
 
     /**
-     * Fleet makespan: the maximum final cycle over the cards.
-     * Cards run in parallel on private virtual timelines, so the
-     * fleet finishes when its slowest card does.
+     * Makespan: the maximum final cycle over the cards.  Cards run
+     * in parallel on private virtual timelines, so the fleet
+     * finishes when its slowest card does.
      */
     Cycle makespan = 0;
 
+    /** Simulated FPGA wall-clock seconds (makespan / clock). */
+    double fpgaSeconds = 0.0;
+
     /**
-     * Aggregated system statistics: byte/target/command counters
-     * summed over cards, totalCycles = makespan, unit utilization
-     * weighted by each card's cycles.  With one card this is that
-     * card's snapshot verbatim.
+     * System statistics: byte/target/command counters summed over
+     * cards, totalCycles = makespan, unit utilization weighted by
+     * each card's cycles; `whd` counts each target's final attempt
+     * only.
      */
     FpgaRunStats fpga;
 
     /**
-     * Counters merged over cards; card k's trace events carry
-     * pid k (perf.pidSpan = card count), so merged job traces
-     * render one Chrome process per card.
+     * Counters merged over cards (perf.enabled == false unless the
+     * AccelConfig asked for counters/tracing); card k's trace
+     * events carry pid k (perf.pidSpan = card count).
      */
     PerfReport perf;
 
@@ -116,42 +105,41 @@ struct FleetScheduleResult
     /** Per-card dispatch accounting (shards, steals, busy). */
     FleetExecStats fleet;
 
-    /** Always-on per-target latency over every card (cycle domain
-     *  and modeled nanoseconds); exact merge of the cards. */
+    /** Hardened runs: recovery-event counters and run health. */
+    RecoveryStats recovery;
+    RunStatus status = RunStatus::Ok;
+
+    /**
+     * Always-on per-target latency from first dispatch to
+     * resolution (retries and watchdog waits included), in the
+     * cycle domain and in modeled nanoseconds.  Deterministic;
+     * merges exactly up through contigs and jobs.
+     */
     obs::LatencyHistogram targetLatencyCycles;
     obs::LatencyHistogram targetLatencyNanos;
 };
 
 /**
- * Schedule every marshalled target onto @p lease's cards in shards
- * of FleetConfig::shardTargets.  Placement: round-robin homes when
- * stealing is off; with stealing on, each shard goes to the card
- * with the least estimated load (the precomputed datapath cycles
- * of everything placed there so far; deterministic -- ties break
- * to the lowest card id) and displaced shards are counted as
- * steals.  Either way each card then runs its placement as one
- * continuous dispatch, so DMA bursts and unit refills batch across
- * shard boundaries.  A one-card fleet collapses to the exact
- * legacy scheduleTargets schedule, cycle for cycle.  The lease's
- * `stats` are updated with this run's accounting.
+ * Run every marshalled target through one FPGA system under the
+ * given policy (plain, no fleet accounting).  The call drives the
+ * event queue to completion.
  */
-FleetScheduleResult scheduleFleetTargets(
-    FleetLease &lease, const std::vector<MarshalledTarget> &targets,
+ScheduleResult scheduleTargets(
+    FpgaSystem &sys, const std::vector<MarshalledTarget> &targets,
     SchedulePolicy policy);
 
 /**
- * DMA one marshalled target's three input arrays to the device
- * buffers named by its descriptor.  The arrays move as one burst;
- * payloads land in device memory at the completion events and
- * @p on_done fires when the last array has landed.  The target
- * must outlive the transfer.  Shared by the scheduling policies
- * and the hardened execution path (host/hardened_executor), so
- * both move bytes through the identical DMA sequence.
+ * Run every marshalled target on @p lease's cards.  A one-card
+ * fleet reproduces scheduleTargets cycle for cycle.  With @p harden
+ * set, each card gets a fresh FaultInjector for its plan, and a
+ * card whose units are all quarantined hands its unresolved
+ * targets to the next card in id order (the last card falls back
+ * to software, or fails them, per policy).  The lease's `stats`
+ * are updated with this run's accounting.
  */
-void transferTargetInputs(FpgaSystem &sys,
-                          const MarshalledTarget &target,
-                          const TargetDescriptor &desc,
-                          std::function<void()> on_done);
+ScheduleResult scheduleFleetTargets(
+    FleetLease &lease, const std::vector<MarshalledTarget> &targets,
+    SchedulePolicy policy, const HardenPolicy *harden = nullptr);
 
 } // namespace iracc
 

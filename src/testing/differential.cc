@@ -218,6 +218,9 @@ runBackendPipeline(std::unique_ptr<const RealignerBackend> backend,
     out.stats = result.stats;
     out.recovery = result.recovery;
     out.status = result.status;
+    out.fpgaSeconds = result.fpgaSeconds;
+    for (const FleetCardExecStats &c : result.fleet.cards)
+        out.cardBusyCycles.push_back(c.busyCycles);
     out.alignments.reserve(reads.size());
     for (const Read &r : reads) {
         out.alignments.push_back(
@@ -565,6 +568,25 @@ diffHardenedPipeline(const ReferenceGenome &ref,
                 twin.label,
                 fmt("fault-free hardened run reports status '%s'",
                     runStatusName(hard.status)));
+        }
+        // Checksums cost no modeled cycles: fault-free hardening
+        // must leave the modeled device timing untouched.
+        if (hard.fpgaSeconds != plain.fpgaSeconds ||
+            hard.cardBusyCycles != plain.cardBusyCycles) {
+            auto cycles = [](const std::vector<Cycle> &v) {
+                std::string text;
+                for (Cycle c : v)
+                    text += fmt(" %llu",
+                                static_cast<unsigned long long>(c));
+                return text;
+            };
+            return DiffResult::fail(
+                twin.label,
+                fmt("fault-free hardened run models %.9f s, plain "
+                    "%.9f s; card busy cycles%s vs%s",
+                    hard.fpgaSeconds, plain.fpgaSeconds,
+                    cycles(hard.cardBusyCycles).c_str(),
+                    cycles(plain.cardBusyCycles).c_str()));
         }
         const RecoveryStats &rec = hard.recovery;
         if (rec.faultsInjected != 0 || rec.anyRecovery() ||

@@ -26,12 +26,12 @@
  * oracle's (the unpruned single-job software variant).
  *
  * Fault level, one genome workload plus one FaultPlan at a time:
- * the hardened execution path (host/hardened_executor.hh) realigns
- * under injected hardware faults and must still produce the plain
+ * the hardened dispatch engine (host/scheduler.hh) realigns under
+ * injected hardware faults and must still produce the plain
  * accelerated backend's bit-exact output -- recovery may fire (that
  * is the point) but results must not change.  With an empty plan
- * the hardened path itself must be invisible: bit-identical output
- * and not a single recovery counter ticking.
+ * hardening itself must be invisible: bit-identical output, the
+ * same modeled cycles, and not a single recovery counter ticking.
  *
  * On mismatch the harness minimizes: greedy removal of contigs,
  * then read chunks (pipeline) or reads/consensuses (kernel) while
@@ -113,6 +113,11 @@ struct PipelineOutcome
     /** Hardened-path health (zero / Ok for plain backends). */
     RecoveryStats recovery;
     RunStatus status = RunStatus::Ok;
+
+    /** Accelerated backends: modeled FPGA seconds and per-card
+     *  busy cycles, ascending card id. */
+    double fpgaSeconds = 0.0;
+    std::vector<Cycle> cardBusyCycles;
 };
 
 /**
@@ -129,8 +134,9 @@ PipelineOutcome runBackendPipeline(
  * hardened execution path must be bit-identical to the plain
  * accelerated path on every accelerated design point of
  * @p variants -- same alignments, same statistics (WhdStats bit for
- * bit), same variant calls, RunStatus::Ok, and every recovery
- * counter zero.
+ * bit), same variant calls, the same modeled FPGA seconds and
+ * per-card busy cycles, RunStatus::Ok, and every recovery counter
+ * zero.
  */
 DiffResult diffHardenedPipeline(
     const ReferenceGenome &ref, const std::vector<Read> &reads,

@@ -4,7 +4,7 @@
  *
  * The fault matrix: every FaultKind is injected into a fixed
  * single-contig workload through every recovery path of the
- * hardened execution path (host/hardened_executor.hh) -- checksum
+ * hardened dispatch engine (host/scheduler.hh) -- checksum
  * catch on inputs and outputs, watchdog reclaim of wedged and
  * vanished targets, bounded retry, unit quarantine, software
  * fallback, and (with fallback disabled) per-contig partial

@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/realigner_api.hh"
 #include "core/workload.hh"
-#include "host/accelerated_system.hh"
 #include "host/machine_config.hh"
 #include "util/logging.hh"
 
@@ -79,14 +79,16 @@ TEST(FpgaEquivalence, MatchesSoftwareOnWholeChromosome)
     auto want = alignmentFingerprint(sw_reads);
     for (const AccelCase &c : cases) {
         std::vector<Read> hw_reads = chr.reads;
-        AcceleratedIrSystem sys(c.config, c.policy);
-        AcceleratedRunResult run = sys.realignContig(
-            wl.reference, chr.contig, hw_reads);
-        EXPECT_EQ(run.realign.targets, sw_stats.targets) << c.label;
-        EXPECT_EQ(run.realign.readsRealigned,
+        BackendRunResult run =
+            makeAcceleratedBackend(c.label, "equivalence subject",
+                                   c.config, c.policy)
+                ->realignContig(wl.reference, chr.contig, hw_reads);
+        EXPECT_EQ(run.stats.targets, sw_stats.targets) << c.label;
+        EXPECT_EQ(run.stats.readsRealigned,
                   sw_stats.readsRealigned) << c.label;
         EXPECT_EQ(alignmentFingerprint(hw_reads), want) << c.label;
-        EXPECT_GT(run.makespan, 0u) << c.label;
+        // One card: its busy cycles are the makespan.
+        EXPECT_GT(run.fleet.busyCycles(), 0u) << c.label;
         EXPECT_GT(run.fpgaSeconds, 0.0) << c.label;
     }
 }
@@ -100,13 +102,14 @@ TEST(FpgaSystemBehavior, DmaIsTinyFractionOfRuntime)
     GenomeWorkload wl = buildWorkload(smallWorkload());
     const ChromosomeWorkload &chr = wl.chromosome(21);
     std::vector<Read> reads = chr.reads;
-    AcceleratedIrSystem sys(AccelConfig::paperOptimized(),
-                            SchedulePolicy::AsynchronousParallel);
-    AcceleratedRunResult run = sys.realignContig(wl.reference,
-                                                 chr.contig, reads);
-    double dma_frac = static_cast<double>(run.fpga.dmaBusyCycles) /
-                      static_cast<double>(run.makespan);
-    EXPECT_LT(dma_frac, 0.05);
+    BackendRunResult run =
+        makeAcceleratedBackend("iracc", "dma-share subject",
+                               AccelConfig::paperOptimized(),
+                               SchedulePolicy::AsynchronousParallel)
+            ->realignContig(wl.reference, chr.contig, reads);
+    // dmaFraction = DMA busy cycles / makespan.
+    ASSERT_GT(run.fleet.busyCycles(), 0u);
+    EXPECT_LT(run.dmaFraction, 0.05);
 }
 
 TEST(FpgaSystemBehavior, MoreUnitsIsFaster)
@@ -123,24 +126,24 @@ TEST(FpgaSystemBehavior, MoreUnitsIsFaster)
     one.numUnits = 1;
     AccelConfig many = AccelConfig::paperOptimized();
 
-    std::vector<Read> reads_a = chr.reads;
-    AcceleratedIrSystem sys_a(one,
-                              SchedulePolicy::AsynchronousParallel);
-    auto run_a = sys_a.realignContig(wl.reference, chr.contig,
-                                     reads_a);
+    // One card: its busy cycles are the makespan.
+    auto makespan = [&](const AccelConfig &cfg) {
+        std::vector<Read> reads = chr.reads;
+        return makeAcceleratedBackend(
+                   "scaling", "unit-scaling subject", cfg,
+                   SchedulePolicy::AsynchronousParallel)
+            ->realignContig(wl.reference, chr.contig, reads)
+            .fleet.busyCycles();
+    };
+    const Cycle makespan_a = makespan(one);
+    const Cycle makespan_b = makespan(many);
 
-    std::vector<Read> reads_b = chr.reads;
-    AcceleratedIrSystem sys_b(many,
-                              SchedulePolicy::AsynchronousParallel);
-    auto run_b = sys_b.realignContig(wl.reference, chr.contig,
-                                     reads_b);
-
-    EXPECT_LT(run_b.makespan, run_a.makespan);
+    EXPECT_LT(makespan_b, makespan_a);
     // Task parallelism must help substantially; the heavy-tailed
     // target-size distribution (one straggler can dominate a small
     // contig) keeps this below linear scaling.
-    EXPECT_GT(static_cast<double>(run_a.makespan) /
-                  static_cast<double>(run_b.makespan),
+    EXPECT_GT(static_cast<double>(makespan_a) /
+                  static_cast<double>(makespan_b),
               3.0);
 }
 

@@ -121,7 +121,7 @@ TEST(PerfMonitor, CycleConservationPerCardAcrossFleet)
     fc.shardTargets = 4;
     CardFleet fleet(fc);
     FleetLease lease = fleet.lease();
-    FleetScheduleResult res = scheduleFleetTargets(
+    ScheduleResult res = scheduleFleetTargets(
         lease, targets, SchedulePolicy::AsynchronousParallel);
 
     // Every card carries its own PerfMonitor; the conservation
