@@ -165,16 +165,8 @@ main(int argc, char **argv)
                 Table::speedup(gain).c_str());
     std::printf("Straggler wait removed by async scheduling: mean "
                 "unit idle gap %s -> %s cycles\n",
-                Table::num(sync_res.perf.unitIdleGap.count()
-                               ? sync_res.perf.unitIdleGap.mean()
-                               : 0.0,
-                           0)
-                    .c_str(),
-                Table::num(async_res.perf.unitIdleGap.count()
-                               ? async_res.perf.unitIdleGap.mean()
-                               : 0.0,
-                           0)
-                    .c_str());
+                Table::num(sync_res.perf.unitIdleGap.mean(), 0).c_str(),
+                Table::num(async_res.perf.unitIdleGap.mean(), 0).c_str());
     std::printf("Paper: async scheduling contributed an average "
                 "6.2x across the full workload.\n");
 

@@ -19,7 +19,6 @@
 #include "host/scheduler.hh"
 #include "realign/stages.hh"
 #include "sim/perf_monitor.hh"
-#include "util/stats.hh"
 #include "util/table.hh"
 
 using namespace iracc;

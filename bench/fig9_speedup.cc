@@ -131,16 +131,8 @@ main(int argc, char **argv)
             Table::pct(perf_iracc.meanUnitUtilization()).c_str(),
             Table::pct(perf_async.meanUnitUtilization()).c_str(),
             Table::pct(perf_taskp.meanUnitUtilization()).c_str(),
-            Table::num(perf_taskp.unitIdleGap.count()
-                           ? perf_taskp.unitIdleGap.mean()
-                           : 0.0,
-                       0)
-                .c_str(),
-            Table::num(perf_async.unitIdleGap.count()
-                           ? perf_async.unitIdleGap.mean()
-                           : 0.0,
-                       0)
-                .c_str());
+            Table::num(perf_taskp.unitIdleGap.mean(), 0).c_str(),
+            Table::num(perf_async.unitIdleGap.mean(), 0).c_str());
         std::printf("  DMA bytes moved: %.1f MB over %llu "
                     "transfers\n",
                     static_cast<double>(

@@ -13,11 +13,9 @@ ReadAligner::ReadAligner(const ReferenceGenome &r, AlignerParams p)
     : ref(r), params(p)
 {
     fatal_if(params.seedLength < 8, "seed length too small");
-    for (size_t c = 0; c < ref.numContigs(); ++c) {
-        indexes.push_back(makeSeedIndex(
-            params.indexKind,
-            ref.contig(static_cast<int32_t>(c)).seq));
-    }
+    indexes.reserve(ref.numContigs());
+    for (size_t c = 0; c < ref.numContigs(); ++c)
+        indexes.emplace_back(ref.contig(static_cast<int32_t>(c)).seq);
 }
 
 bool
@@ -41,8 +39,8 @@ ReadAligner::alignRead(Read &read)
         for (size_t off = 0; off + params.seedLength <= rlen;
              off += params.seedStride) {
             SaRange range;
-            int64_t len = indexes[c]->longestPrefixMatch(read.bases,
-                                                         off, range);
+            int64_t len = indexes[c].longestPrefixMatch(read.bases,
+                                                        off, range);
             if (len >= static_cast<int64_t>(params.seedLength) &&
                 !range.empty() &&
                 range.count() <= params.maxSeedHits) {
@@ -64,7 +62,7 @@ ReadAligner::alignRead(Read &read)
     for (const Seed &seed : seeds) {
         for (int64_t r = seed.range.lo; r < seed.range.hi; ++r) {
             int64_t pos = indexes[static_cast<size_t>(seed.contig)]
-                              ->position(r);
+                              .position(r);
             int64_t diag = pos -
                 static_cast<int64_t>(seed.queryOffset);
             votes[{seed.contig, diag}] += seed.matchLen;

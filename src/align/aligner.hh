@@ -13,11 +13,10 @@
 #define IRACC_ALIGN_ALIGNER_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "align/seed_index.hh"
 #include "align/smith_waterman.hh"
+#include "align/suffix_array.hh"
 #include "genomics/read.hh"
 #include "genomics/reference.hh"
 
@@ -52,9 +51,6 @@ struct AlignerParams
     uint32_t maxSeedHits = 16;    ///< ignore ultra-repetitive seeds
     int64_t windowFlank = 24;     ///< SW window slack on each side
     SwParams swParams;
-
-    /** Index substrate for the seeding stage (BWA uses FmIndex). */
-    SeedIndexKind indexKind = SeedIndexKind::SuffixArray;
 };
 
 /**
@@ -91,7 +87,7 @@ class ReadAligner
   private:
     const ReferenceGenome &ref;
     AlignerParams params;
-    std::vector<std::unique_ptr<SeedIndex>> indexes;
+    std::vector<SuffixArray> indexes;
     AlignerStageTimes times;
     obs::Observability *obsv = nullptr;
 };

@@ -23,16 +23,6 @@ writeFile(const std::string &path, const std::string &content)
              path.c_str());
 }
 
-void
-writeLatency(std::ostringstream &os, const obs::LatencyHistogram &h)
-{
-    os << "{\"count\":" << h.count() << ",\"sum\":" << h.total()
-       << ",\"min\":" << h.min() << ",\"max\":" << h.max()
-       << ",\"p50\":" << h.p50() << ",\"p90\":" << h.p90()
-       << ",\"p99\":" << h.p99() << ",\"p999\":" << h.p999()
-       << "}";
-}
-
 std::string
 summaryJson(const RealignJobResult &job,
             const PostmortemOptions &opt)
@@ -87,9 +77,9 @@ summaryJson(const RealignJobResult &job,
     os << "]";
 
     os << ",\"latency\":{\"cycles\":";
-    writeLatency(os, job.targetLatencyCycles);
+    obs::writeDistributionJson(os, job.targetLatencyCycles);
     os << ",\"ns\":";
-    writeLatency(os, job.targetLatencyNanos);
+    obs::writeDistributionJson(os, job.targetLatencyNanos);
     os << "}";
 
     os << ",\"faultPlans\":[";

@@ -196,10 +196,9 @@ runContigPipeline(const ReferenceGenome &ref, int32_t contig,
                 .add(outcome.fleet.busyCycles());
             count("fleet.steals", outcome.fleet.steals());
             count("fleet.migrations", outcome.fleet.migrations());
-            for (const FleetCardExecStats &c : outcome.fleet.cards) {
-                reg.histogram("fleet.queue_depth")
-                    .sample(static_cast<double>(c.shards));
-            }
+            obs::LatencyMetric &depth = reg.latency("fleet.queue_depth");
+            for (const FleetCardExecStats &c : outcome.fleet.cards)
+                depth.record(c.shards);
         }
     }
     out.seconds = out.stageTimes.hostSeconds() + outcome.seconds;

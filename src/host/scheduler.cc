@@ -170,6 +170,9 @@ class CardRun
         return std::move(stranded);
     }
 
+    /** Each resolved target's wait on this card, in cycles. */
+    const obs::LatencyHistogram &latency() const { return latencyCycles; }
+
   private:
     const MarshalledTarget &
     marshalled(size_t s) const
@@ -540,11 +543,10 @@ class CardRun
         // Always-on: the percentile histograms cost two bucket
         // increments per target, recorder or no recorder.
         const Cycle waited = sys.now() - sl.readyAt;
-        ctx.out.targetLatencyCycles.record(waited);
+        latencyCycles.record(waited);
         ctx.out.targetLatencyNanos.record(static_cast<uint64_t>(
             sys.cyclesToSeconds(waited) * 1e9));
         if (PerfMonitor *p = sys.perf()) {
-            p->sampleTargetLatency(waited);
             p->traceSpan("target " + std::to_string(sl.target),
                          "sched", kTraceTidScheduler, sl.readyAt,
                          sys.now(), sl.target);
@@ -620,7 +622,22 @@ class CardRun
     size_t inFlight = 0;
     size_t batchOutstanding = 0;
     std::vector<size_t> stranded;
+    obs::LatencyHistogram latencyCycles;
 };
+
+/**
+ * Card @p sys's counter snapshot.  Its targetLatency is @p latency,
+ * the scheduler's own record of the card's target waits, so each
+ * wait is recorded once.
+ */
+PerfReport
+cardPerfReport(const FpgaSystem &sys, const obs::LatencyHistogram &latency)
+{
+    PerfReport rep = sys.perfReport();
+    if (rep.enabled)
+        rep.targetLatency = latency;
+    return rep;
+}
 
 /** Where each card's targets go, in dispatch order. */
 struct Placement
@@ -741,13 +758,15 @@ scheduleTargets(FpgaSystem &sys,
     std::vector<size_t> order(targets.size());
     std::iota(order.begin(), order.end(), size_t{0});
     RunContext ctx{targets, precomputed, policy, nullptr, out};
-    CardRun(ctx, sys, 0, order, false, false).drive();
+    CardRun run(ctx, sys, 0, order, false, false);
+    run.drive();
 
     out.makespan = sys.now();
     out.fpgaSeconds = sys.cyclesToSeconds(out.makespan);
     out.timeline = sys.timeline();
     out.fpga = sys.stats();
-    out.perf = sys.perfReport();
+    out.targetLatencyCycles = run.latency();
+    out.perf = cardPerfReport(sys, out.targetLatencyCycles);
     return out;
 }
 
@@ -791,12 +810,14 @@ scheduleFleetTargets(FleetLease &lease,
         order.insert(order.end(), place.orders[k].begin(),
                      place.orders[k].end());
         FpgaSystem &sys = lease.card(k);
+        obs::LatencyHistogram latency;
         if (!order.empty()) {
             const bool faulty =
                 harden != nullptr && !lease.cardPlan(k).empty();
-            carry = CardRun(ctx, sys, static_cast<int32_t>(k), order,
-                            faulty, k + 1 < cards)
-                        .drive();
+            CardRun run(ctx, sys, static_cast<int32_t>(k), order,
+                        faulty, k + 1 < cards);
+            carry = run.drive();
+            latency = run.latency();
             if (!carry.empty()) {
                 ++out.recovery.quarantinedCards;
                 obs::frEmit(obs::FrSeverity::Error,
@@ -818,7 +839,8 @@ scheduleFleetTargets(FleetLease &lease,
         std::vector<UnitTimelineEntry> tl = sys.timeline();
         out.timeline.insert(out.timeline.end(), tl.begin(),
                             tl.end());
-        out.cardPerf.push_back(sys.perfReport());
+        out.targetLatencyCycles.merge(latency);
+        out.cardPerf.push_back(cardPerfReport(sys, latency));
         out.perf.merge(out.cardPerf.back(), k);
         sys.attachFaults(nullptr);
     }

@@ -20,12 +20,17 @@
  * no approximation beyond the original bucketing.
  *
  * Header-only so cycle-domain code can embed one without a link
- * edge onto iracc_obs.
+ * edge onto iracc_obs.  It is the repository's one distribution
+ * type: simulator per-target distributions (PerfReport), the
+ * scheduler's latency histograms, and every registry distribution
+ * (obs::LatencyMetric) are all LatencyHistograms, rendered to JSON
+ * by writeDistributionJson() below.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 namespace iracc {
@@ -162,6 +167,55 @@ class LatencyHistogram {
     uint64_t lo_ = 0;
     uint64_t hi_ = 0;
 };
+
+/** A quantile every export reports: its JSON key and fraction
+ *  (the fraction doubles as the Prometheus quantile label). */
+struct ExportQuantile
+{
+    const char *key;
+    double q;
+};
+
+inline constexpr ExportQuantile kExportQuantiles[] = {
+    {"p50", 0.5}, {"p90", 0.9}, {"p99", 0.99}, {"p999", 0.999}};
+
+/**
+ * Write stored value @p v in export units: the integer itself when
+ * @p scale is 1 (counts and cycles stay exact), else v * scale
+ * (e.g. nanoseconds exported as seconds with scale 1e-9).
+ */
+inline void
+writeScaled(std::ostream &os, uint64_t v, double scale)
+{
+    if (scale == 1.0)
+        os << v;
+    else
+        os << static_cast<double>(v) * scale;
+}
+
+/**
+ * The one JSON rendering of a distribution: an object with
+ * count, sum, min, max, mean, p50, p90, p99 and p999, every field
+ * but count in export units (stored value x @p scale).  An empty
+ * distribution renders zeros.
+ */
+inline void
+writeDistributionJson(std::ostream &os, const LatencyHistogram &h,
+                      double scale = 1.0)
+{
+    os << "{\"count\":" << h.count() << ",\"sum\":";
+    writeScaled(os, h.total(), scale);
+    os << ",\"min\":";
+    writeScaled(os, h.min(), scale);
+    os << ",\"max\":";
+    writeScaled(os, h.max(), scale);
+    os << ",\"mean\":" << h.mean() * scale;
+    for (const ExportQuantile &eq : kExportQuantiles) {
+        os << ",\"" << eq.key << "\":";
+        writeScaled(os, h.quantile(eq.q), scale);
+    }
+    os << "}";
+}
 
 } // namespace obs
 } // namespace iracc

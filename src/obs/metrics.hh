@@ -1,7 +1,7 @@
 /**
  * @file
  * Host-side metrics: a thread-safe registry of named counters,
- * gauges, and fixed-bucket histograms.
+ * gauges, and distributions (mergeable log-linear histograms).
  *
  * This is the wall-clock-domain counterpart of the simulator's
  * PerfMonitor (src/sim/perf_monitor.hh): the FPGA model counts
@@ -13,11 +13,11 @@
  * unchanged.
  *
  * Metric handles returned by the registry are stable for the
- * registry's lifetime and individually thread-safe (relaxed
- * atomics; a histogram's count/sum/bucket updates are each atomic,
- * so concurrent totals are exact even though a single sample's
- * fields land independently).  Registration takes the registry
- * mutex; instrument hot loops by hoisting the handle out.
+ * registry's lifetime and individually thread-safe (counters and
+ * gauges are relaxed atomics; a distribution takes its own mutex
+ * per sample, so concurrent totals are exact).  Registration takes
+ * the registry mutex; instrument hot loops by hoisting the handle
+ * out.
  *
  * Export formats: writeJson() (machine-readable, round-trips
  * through src/util/json) and writePrometheus() (text exposition
@@ -29,29 +29,18 @@
 #define IRACC_OBS_METRICS_HH
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/latency_histogram.hh"
 
 namespace iracc {
 namespace obs {
-
-/** Add @p d to @p a without std::atomic<double>::fetch_add (kept
- *  portable to pre-C++20 library modes). */
-inline void
-atomicAdd(std::atomic<double> &a, double d)
-{
-    double cur = a.load(std::memory_order_relaxed);
-    while (!a.compare_exchange_weak(cur, cur + d,
-                                    std::memory_order_relaxed)) {
-    }
-}
 
 /** Monotonically increasing event count. */
 class Counter
@@ -112,64 +101,38 @@ class Gauge
 };
 
 /**
- * Fixed-bucket histogram: cumulative-style buckets defined by
- * ascending upper bounds, plus an implicit +Inf bucket, with exact
- * count/sum and min/max.  All updates are lock-free.
- */
-class HistogramMetric
-{
-  public:
-    /** @param upper_bounds ascending bucket upper bounds
-     *  (inclusive, Prometheus "le" semantics); may be empty, which
-     *  leaves only the +Inf bucket. */
-    explicit HistogramMetric(std::vector<double> upper_bounds);
-
-    void sample(double x);
-
-    uint64_t count() const { return n.load(std::memory_order_relaxed); }
-    double
-    sum() const
-    {
-        return total.load(std::memory_order_relaxed);
-    }
-    double mean() const;
-    double min() const; ///< +inf when empty
-    double max() const; ///< -inf when empty
-
-    const std::vector<double> &bounds() const { return ub; }
-
-    /** Count in bucket @p i; i == bounds().size() is +Inf. */
-    uint64_t bucketCount(size_t i) const;
-
-  private:
-    std::vector<double> ub;
-    std::vector<std::atomic<uint64_t>> bins; ///< ub.size() + 1
-    std::atomic<uint64_t> n{0};
-    std::atomic<double> total{0.0};
-    std::atomic<double> lo;
-    std::atomic<double> hi;
-};
-
-/** Default histogram bounds for durations in seconds
- *  (1 us .. 100 s, roughly logarithmic). */
-std::vector<double> defaultSecondsBounds();
-
-/**
- * Percentile-capable latency metric: a mutex-guarded
- * LatencyHistogram (obs/latency_histogram.hh).  Unlike the
- * fixed-bucket HistogramMetric, quantiles carry bounded relative
- * error at any magnitude, and whole per-run histograms merge in
- * exactly.  Values are raw uint64 in whatever unit the metric
- * name declares (cycles, nanoseconds).
+ * A registry distribution: a mutex-guarded LatencyHistogram
+ * (obs/latency_histogram.hh), so quantiles carry bounded relative
+ * error at any magnitude and whole per-run histograms merge in
+ * exactly.  Samples are stored as integers; the export scale
+ * turns them back into the unit the metric name declares.  A
+ * seconds metric (MetricsRegistry::histogram) stores whole
+ * nanoseconds and exports seconds (scale 1e-9); a raw metric
+ * (MetricsRegistry::latency) stores cycles, nanoseconds or counts
+ * as given (scale 1).
  */
 class LatencyMetric
 {
   public:
+    explicit LatencyMetric(double export_scale) : scale(export_scale)
+    {
+    }
+
+    /** Record one sample in stored units. */
     void
     record(uint64_t v)
     {
         std::lock_guard<std::mutex> lock(m);
         h.record(v);
+    }
+
+    /** Record one sample given in export units (seconds, for a
+     *  seconds metric), rounded to the nearest stored unit. */
+    void
+    sample(double x)
+    {
+        double v = std::round(x / scale);
+        record(v > 0.0 ? static_cast<uint64_t>(v) : 0);
     }
 
     /** Exact merge of a per-run/per-contig histogram. */
@@ -188,9 +151,13 @@ class LatencyMetric
         return h;
     }
 
+    /** Export units per stored unit. */
+    double exportScale() const { return scale; }
+
   private:
     mutable std::mutex m;
     LatencyHistogram h;
+    const double scale;
 };
 
 /**
@@ -208,37 +175,40 @@ class MetricsRegistry
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
 
-    /** @param bounds bucket upper bounds; empty selects
-     *  defaultSecondsBounds().  Only the first registration's
-     *  bounds stick. */
-    HistogramMetric &histogram(const std::string &name,
-                               std::vector<double> bounds = {});
+    /** Seconds distribution: samples in seconds, stored as
+     *  nanoseconds (see LatencyMetric). */
+    LatencyMetric &histogram(const std::string &name);
 
-    /** Percentile latency distribution (see LatencyMetric). */
+    /** Raw-integer distribution (cycles, nanoseconds, counts). */
     LatencyMetric &latency(const std::string &name);
 
     // -- convenience readers (0 / empty semantics when absent) --
     uint64_t counterValue(const std::string &name) const;
     int64_t gaugeValue(const std::string &name) const;
+    /** Sum of a distribution in export units. */
     double histogramSum(const std::string &name) const;
     uint64_t histogramCount(const std::string &name) const;
     /** Empty histogram when the metric is absent. */
     LatencyHistogram latencySnapshot(const std::string &name) const;
 
     /** One JSON object: {"counters":{...},"gauges":{...},
-     *  "histograms":{...}}.  Names escaped via util/json. */
+     *  "histograms":{...}}, each distribution rendered by
+     *  writeDistributionJson.  Names escaped via util/json. */
     void writeJson(std::ostream &os) const;
 
     /** Prometheus text exposition format; metric names are
-     *  sanitized ('.' and other illegal characters -> '_'). */
+     *  sanitized ('.' and other illegal characters -> '_'), and
+     *  every distribution is a summary (quantile series). */
     void writePrometheus(std::ostream &os) const;
 
   private:
     mutable std::mutex mtx;
     std::map<std::string, std::unique_ptr<Counter>> counters;
     std::map<std::string, std::unique_ptr<Gauge>> gauges;
-    std::map<std::string, std::unique_ptr<HistogramMetric>> hists;
-    std::map<std::string, std::unique_ptr<LatencyMetric>> lats;
+    std::map<std::string, std::unique_ptr<LatencyMetric>> dists;
+
+    LatencyMetric &distribution(const std::string &name,
+                                double export_scale);
 };
 
 } // namespace obs

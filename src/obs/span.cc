@@ -162,12 +162,12 @@ instrumentThreadPool(iracc::ThreadPool &pool,
                      const std::string &prefix)
 {
     // Metric handles are resolved once; the hooks touch only
-    // atomics afterwards.
+    // the handles afterwards.
     Gauge &depth = registry.gauge(prefix + ".queue_depth");
     Counter &tasks = registry.counter(prefix + ".tasks");
-    HistogramMetric &wait =
+    LatencyMetric &wait =
         registry.histogram(prefix + ".task_wait_seconds");
-    HistogramMetric &busy =
+    LatencyMetric &busy =
         registry.histogram(prefix + ".task_busy_seconds");
 
     auto hooks = std::make_shared<ThreadPoolHooks>();

@@ -186,8 +186,7 @@ PerfMonitor::unitTarget(uint32_t unit, uint64_t target_id,
     u.writeCycles += finished - computed;
     u.busyCycles += finished - dispatched;
 
-    rep.targetCompute.sample(
-        static_cast<double>(computed - loaded));
+    rep.targetCompute.record(computed - loaded);
 
     size_t idx = 0;
     for (; idx < rep.units.size(); ++idx) {
@@ -195,8 +194,7 @@ PerfMonitor::unitTarget(uint32_t unit, uint64_t target_id,
             break;
     }
     if (lastFinish[idx].first)
-        rep.unitIdleGap.sample(static_cast<double>(
-            dispatched - lastFinish[idx].second));
+        rep.unitIdleGap.record(dispatched - lastFinish[idx].second);
     lastFinish[idx] = {true, finished};
 
     if (opts.trace) {
@@ -245,13 +243,7 @@ PerfMonitor::channelTransfer(size_t chan, uint64_t bytes,
 void
 PerfMonitor::sampleCmdQueueWait(Cycle cycles)
 {
-    rep.cmdQueueWait.sample(static_cast<double>(cycles));
-}
-
-void
-PerfMonitor::sampleTargetLatency(Cycle cycles)
-{
-    rep.targetLatency.sample(static_cast<double>(cycles));
+    rep.cmdQueueWait.record(cycles);
 }
 
 void
@@ -311,15 +303,14 @@ cyclesToUs(Cycle cycles, double clock_mhz)
 }
 
 std::string
-accumulatorRow(const Accumulator &a)
+distributionRow(const obs::LatencyHistogram &h)
 {
-    if (a.count() == 0)
+    if (h.count() == 0)
         return "(no samples)";
     std::ostringstream os;
-    os << "n=" << a.count() << " mean=" << Table::num(a.mean(), 1)
-       << " min=" << Table::num(a.min(), 0)
-       << " max=" << Table::num(a.max(), 0)
-       << " stddev=" << Table::num(a.stddev(), 1);
+    os << "n=" << h.count() << " mean=" << Table::num(h.mean(), 1)
+       << " min=" << h.min() << " max=" << h.max()
+       << " p50=" << h.p50() << " p99=" << h.p99();
     return os.str();
 }
 
@@ -447,30 +438,19 @@ renderPerfSummary(const PerfReport &rep)
     }
 
     os << "Per-target compute cycles:  "
-       << accumulatorRow(rep.targetCompute) << "\n";
+       << distributionRow(rep.targetCompute) << "\n";
     os << "Cmd queue wait (cycles):    "
-       << accumulatorRow(rep.cmdQueueWait) << "\n";
+       << distributionRow(rep.cmdQueueWait) << "\n";
     os << "Target latency (cycles):    "
-       << accumulatorRow(rep.targetLatency) << "\n";
+       << distributionRow(rep.targetLatency) << "\n";
     os << "Unit idle gap (cycles):     "
-       << accumulatorRow(rep.unitIdleGap) << "\n";
+       << distributionRow(rep.unitIdleGap) << "\n";
     return os.str();
 }
 
 void
 writePerfJson(std::ostream &os, const PerfReport &rep)
 {
-    auto accum = [&os](const char *key, const Accumulator &a) {
-        os << "\"" << key << "\":{\"count\":" << a.count()
-           << ",\"sum\":" << a.sum();
-        if (a.count() > 0) {
-            os << ",\"mean\":" << a.mean() << ",\"min\":" << a.min()
-               << ",\"max\":" << a.max()
-               << ",\"stddev\":" << a.stddev();
-        }
-        os << "}";
-    };
-
     os << "{\"enabled\":" << (rep.enabled ? "true" : "false")
        << ",\"totalCycles\":" << rep.totalCycles
        << ",\"meanUnitUtilization\":" << rep.meanUnitUtilization()
@@ -506,14 +486,16 @@ writePerfJson(std::ostream &os, const PerfReport &rep)
            << jsonEscape(b.name) << "\",\"capacity\":" << b.capacity
            << ",\"highWater\":" << b.highWater << "}";
     }
-    os << "],";
-    accum("targetCompute", rep.targetCompute);
-    os << ",";
-    accum("cmdQueueWait", rep.cmdQueueWait);
-    os << ",";
-    accum("targetLatency", rep.targetLatency);
-    os << ",";
-    accum("unitIdleGap", rep.unitIdleGap);
+    os << "]";
+    const std::pair<const char *, const obs::LatencyHistogram *>
+        dists[] = {{"targetCompute", &rep.targetCompute},
+                   {"cmdQueueWait", &rep.cmdQueueWait},
+                   {"targetLatency", &rep.targetLatency},
+                   {"unitIdleGap", &rep.unitIdleGap}};
+    for (const auto &[key, h] : dists) {
+        os << ",\"" << key << "\":";
+        obs::writeDistributionJson(os, *h);
+    }
     os << "}\n";
 }
 

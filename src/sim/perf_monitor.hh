@@ -38,8 +38,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/latency_histogram.hh"
 #include "sim/event_queue.hh"
-#include "util/stats.hh"
 
 namespace iracc {
 
@@ -130,17 +130,19 @@ struct PerfReport
     uint64_t deviceMemHighWater = 0;
 
     /** Per-target compute cycles (straggler spread). */
-    Accumulator targetCompute;
+    obs::LatencyHistogram targetCompute;
 
     /** Per-target AXILite command-delivery wait (cycles). */
-    Accumulator cmdQueueWait;
+    obs::LatencyHistogram cmdQueueWait;
 
-    /** Per-target cycles from scheduler-ready to result collected. */
-    Accumulator targetLatency;
+    /** Per-target cycles from first dispatch to result collected:
+     *  the scheduler's targetLatencyCycles for this run, filled
+     *  in by the scheduler (host/scheduler.hh). */
+    obs::LatencyHistogram targetLatency;
 
     /** Per-unit idle gap between consecutive targets (cycles):
      *  the straggler wait synchronous batching induces. */
-    Accumulator unitIdleGap;
+    obs::LatencyHistogram unitIdleGap;
 
     /** Human-readable names for trace tracks (tid -> name). */
     std::vector<std::pair<uint32_t, std::string>> trackNames;
@@ -244,9 +246,6 @@ class PerfMonitor
 
     /** Sample one target's command-delivery queue wait. */
     void sampleCmdQueueWait(Cycle cycles);
-
-    /** Sample one target's ready-to-collected latency. */
-    void sampleTargetLatency(Cycle cycles);
 
     /** Record an arbitrary timeline span (no counter effect). */
     void traceSpan(std::string name, std::string cat, uint32_t tid,

@@ -1,120 +1,10 @@
 #include "util/stats.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hh"
 
 namespace iracc {
-
-void
-Accumulator::sample(double v)
-{
-    ++n;
-    total += v;
-    totalSq += v * v;
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-}
-
-void
-Accumulator::merge(const Accumulator &other)
-{
-    n += other.n;
-    total += other.total;
-    totalSq += other.totalSq;
-    lo = std::min(lo, other.lo);
-    hi = std::max(hi, other.hi);
-}
-
-void
-Accumulator::reset()
-{
-    *this = Accumulator();
-}
-
-double
-Accumulator::mean() const
-{
-    return n ? total / static_cast<double>(n) : 0.0;
-}
-
-double
-Accumulator::min() const
-{
-    return n ? lo : 0.0;
-}
-
-double
-Accumulator::max() const
-{
-    return n ? hi : 0.0;
-}
-
-double
-Accumulator::stddev() const
-{
-    if (n == 0)
-        return 0.0;
-    double m = mean();
-    double var = totalSq / static_cast<double>(n) - m * m;
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : rangeLo(lo), rangeHi(hi), bins(buckets, 0)
-{
-    panic_if(buckets == 0, "Histogram requires at least one bucket");
-    panic_if(!(lo < hi), "Histogram requires lo < hi");
-}
-
-void
-Histogram::sample(double v)
-{
-    ++n;
-    if (v < rangeLo) {
-        ++below;
-    } else if (v >= rangeHi) {
-        ++above;
-    } else {
-        double frac = (v - rangeLo) / (rangeHi - rangeLo);
-        size_t idx = static_cast<size_t>(frac * bins.size());
-        if (idx >= bins.size())
-            idx = bins.size() - 1;
-        ++bins[idx];
-    }
-}
-
-double
-Histogram::bucketLo(size_t i) const
-{
-    return rangeLo + (rangeHi - rangeLo) *
-        static_cast<double>(i) / static_cast<double>(bins.size());
-}
-
-double
-Histogram::percentile(double frac) const
-{
-    panic_if(frac < 0.0 || frac > 1.0, "percentile frac out of range");
-    if (n == 0)
-        return rangeLo;
-    uint64_t want = static_cast<uint64_t>(frac * static_cast<double>(n));
-    uint64_t seen = below;
-    if (seen > want)
-        return rangeLo;
-    double width = (rangeHi - rangeLo) / static_cast<double>(bins.size());
-    for (size_t i = 0; i < bins.size(); ++i) {
-        if (seen + bins[i] > want) {
-            double inBucket = bins[i]
-                ? static_cast<double>(want - seen) /
-                  static_cast<double>(bins[i])
-                : 0.0;
-            return bucketLo(i) + inBucket * width;
-        }
-        seen += bins[i];
-    }
-    return rangeHi;
-}
 
 double
 geomean(const std::vector<double> &values)

@@ -1,92 +1,15 @@
 /**
  * @file
- * Lightweight statistics containers used by the simulator and the
- * benchmark harness: a scalar accumulator with moments, and a
- * fixed-bucket histogram.  Modeled on the spirit of gem5's Stats
- * package, stripped to what IRACC needs.
+ * Scalar statistics for the benchmark harness.  Distributions
+ * live in obs::LatencyHistogram (obs/latency_histogram.hh).
  */
 
 #ifndef IRACC_UTIL_STATS_HH
 #define IRACC_UTIL_STATS_HH
 
-#include <cstddef>
-#include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
 namespace iracc {
-
-/**
- * Accumulates samples and exposes count/sum/mean/min/max/stddev.
- */
-class Accumulator
-{
-  public:
-    /** Record one sample. */
-    void sample(double v);
-
-    /** Merge another accumulator into this one. */
-    void merge(const Accumulator &other);
-
-    /** Discard all samples. */
-    void reset();
-
-    uint64_t count() const { return n; }
-    double sum() const { return total; }
-    double mean() const;
-    double min() const;
-    double max() const;
-    /** Population standard deviation. */
-    double stddev() const;
-
-  private:
-    uint64_t n = 0;
-    double total = 0.0;
-    double totalSq = 0.0;
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Histogram over [lo, hi) with linear buckets plus underflow and
- * overflow counters.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo       inclusive lower bound of the bucketed range
-     * @param hi       exclusive upper bound of the bucketed range
-     * @param buckets  number of equal-width buckets, > 0
-     */
-    Histogram(double lo, double hi, size_t buckets);
-
-    /** Record one sample. */
-    void sample(double v);
-
-    uint64_t count() const { return n; }
-    uint64_t underflow() const { return below; }
-    uint64_t overflow() const { return above; }
-    size_t buckets() const { return bins.size(); }
-    uint64_t bucketCount(size_t i) const { return bins.at(i); }
-    /** Inclusive lower edge of bucket i. */
-    double bucketLo(size_t i) const;
-
-    /**
-     * @return the value below which the given fraction of samples
-     * fall, linearly interpolated within a bucket.
-     */
-    double percentile(double frac) const;
-
-  private:
-    double rangeLo;
-    double rangeHi;
-    std::vector<uint64_t> bins;
-    uint64_t below = 0;
-    uint64_t above = 0;
-    uint64_t n = 0;
-};
 
 /** Geometric mean of a set of strictly positive values. */
 double geomean(const std::vector<double> &values);

@@ -84,6 +84,39 @@ TEST_P(SuffixArraySearch, MatchesBruteForce)
     }
 }
 
+TEST_P(SuffixArraySearch, LongestPrefixMatchesBruteForce)
+{
+    Rng rng(static_cast<uint64_t>(GetParam()) * 31 + 5);
+    BaseSeq text = ReferenceGenome::randomSequence(
+        300 + rng.below(1200), rng);
+    SuffixArray sa(text);
+
+    for (int q = 0; q < 25; ++q) {
+        // A text window whose tail is randomized, so the match
+        // usually ends early, queried from a random offset.
+        BaseSeq pattern = text.substr(rng.below(text.size() - 60), 60);
+        for (size_t i = 40; i < pattern.size(); ++i)
+            pattern[i] = kConcreteBases[rng.below(4)];
+        const size_t off = rng.below(20);
+
+        size_t want = 0;
+        while (off + want < pattern.size() &&
+               bruteCount(text, pattern.substr(off, want + 1)) > 0)
+            ++want;
+
+        SaRange range;
+        ASSERT_EQ(sa.longestPrefixMatch(pattern, off, range),
+                  static_cast<int64_t>(want))
+            << "pattern " << pattern << " offset " << off;
+        ASSERT_EQ(range.count(),
+                  bruteCount(text, pattern.substr(off, want)));
+        for (int64_t r = range.lo; r < range.hi; ++r) {
+            size_t pos = static_cast<size_t>(sa.position(r));
+            ASSERT_EQ(text.compare(pos, want, pattern, off, want), 0);
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SuffixArraySearch,
                          ::testing::Range(0, 8));
 

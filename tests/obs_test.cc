@@ -42,18 +42,23 @@ TEST(Metrics, CounterGaugeHistogramBasics)
     EXPECT_EQ(reg.gaugeValue("g"), 2);
     EXPECT_EQ(g.highWater(), 8);
 
-    obs::HistogramMetric &h = reg.histogram("h", {1.0, 10.0});
+    // A seconds distribution stores whole nanoseconds and reports
+    // seconds.
+    obs::LatencyMetric &h = reg.histogram("h");
     h.sample(0.5);
-    h.sample(1.0); // le semantics: lands in the 1.0 bucket
+    h.sample(1.0);
     h.sample(5.0);
-    h.sample(100.0); // +Inf bucket
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_DOUBLE_EQ(h.sum(), 106.5);
-    EXPECT_DOUBLE_EQ(h.min(), 0.5);
-    EXPECT_DOUBLE_EQ(h.max(), 100.0);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(2), 1u);
+    h.sample(100.0);
+    EXPECT_EQ(reg.histogramCount("h"), 4u);
+    EXPECT_DOUBLE_EQ(reg.histogramSum("h"), 106.5);
+    obs::LatencyHistogram snap = h.snapshotHist();
+    EXPECT_EQ(snap.min(), 500000000u);
+    EXPECT_EQ(snap.max(), 100000000000u);
+
+    // A raw distribution stores the value as given.
+    reg.latency("depth").record(3);
+    EXPECT_EQ(reg.latencySnapshot("depth").max(), 3u);
+    EXPECT_DOUBLE_EQ(reg.histogramSum("depth"), 3.0);
 }
 
 TEST(Metrics, HandlesAreStableAcrossLookups)
@@ -62,25 +67,24 @@ TEST(Metrics, HandlesAreStableAcrossLookups)
     obs::Counter &a = reg.counter("same");
     obs::Counter &b = reg.counter("same");
     EXPECT_EQ(&a, &b);
-    obs::HistogramMetric &h1 = reg.histogram("h", {1.0});
-    obs::HistogramMetric &h2 = reg.histogram("h", {2.0, 3.0});
+    obs::LatencyMetric &h1 = reg.histogram("h");
+    obs::LatencyMetric &h2 = reg.histogram("h");
     EXPECT_EQ(&h1, &h2);
-    // Only the first registration's bounds stick.
-    EXPECT_EQ(h2.bounds().size(), 1u);
+    obs::LatencyMetric &l1 = reg.latency("l");
+    obs::LatencyMetric &l2 = reg.latency("l");
+    EXPECT_EQ(&l1, &l2);
 }
 
 TEST(Metrics, ConcurrentUpdatesAreExact)
 {
-    // N threads hammer the same counter, gauge, and histogram; the
-    // totals must be exact, not approximate -- each field update is
-    // a single atomic RMW.
+    // N threads hammer the same counter, gauge, and distribution;
+    // the totals must be exact, not approximate.
     const int threads = 8;
     const int iters = 10000;
     obs::MetricsRegistry reg;
     obs::Counter &c = reg.counter("hits");
     obs::Gauge &g = reg.gauge("depth");
-    obs::HistogramMetric &h =
-        reg.histogram("lat", {0.5, 1.5, 2.5});
+    obs::LatencyMetric &h = reg.latency("lat");
 
     std::vector<std::thread> pool;
     for (int t = 0; t < threads; ++t) {
@@ -90,7 +94,7 @@ TEST(Metrics, ConcurrentUpdatesAreExact)
                 g.add(1);
                 g.add(-1);
                 // Value depends only on (t, i): deterministic sum.
-                h.sample((t + i) % 3);
+                h.record(static_cast<uint64_t>((t + i) % 3));
             }
         });
     }
@@ -101,24 +105,15 @@ TEST(Metrics, ConcurrentUpdatesAreExact)
         static_cast<uint64_t>(threads) * iters;
     EXPECT_EQ(c.value(), total);
     EXPECT_EQ(g.value(), 0);
-    EXPECT_EQ(h.count(), total);
 
-    double expect_sum = 0.0;
-    uint64_t per_bucket[3] = {0, 0, 0};
+    obs::LatencyHistogram want;
     for (int t = 0; t < threads; ++t) {
-        for (int i = 0; i < iters; ++i) {
-            expect_sum += (t + i) % 3;
-            ++per_bucket[(t + i) % 3];
-        }
+        for (int i = 0; i < iters; ++i)
+            want.record(static_cast<uint64_t>((t + i) % 3));
     }
-    EXPECT_DOUBLE_EQ(h.sum(), expect_sum);
-    // Samples 0, 1, 2 land in buckets le=0.5, le=1.5, le=2.5.
-    EXPECT_EQ(h.bucketCount(0), per_bucket[0]);
-    EXPECT_EQ(h.bucketCount(1), per_bucket[1]);
-    EXPECT_EQ(h.bucketCount(2), per_bucket[2]);
-    EXPECT_EQ(h.bucketCount(3), 0u);
-    EXPECT_DOUBLE_EQ(h.min(), 0.0);
-    EXPECT_DOUBLE_EQ(h.max(), 2.0);
+    obs::LatencyHistogram got = h.snapshotHist();
+    EXPECT_EQ(got.count(), total);
+    EXPECT_TRUE(got == want);
 }
 
 TEST(Metrics, JsonExportRoundTripsHostileNames)
@@ -131,7 +126,7 @@ TEST(Metrics, JsonExportRoundTripsHostileNames)
     obs::MetricsRegistry reg;
     reg.counter(hostile).add(7);
     reg.gauge("g\"2").set(-3);
-    reg.histogram("h\\3", {1.0}).sample(0.25);
+    reg.histogram("h\\3").sample(0.25);
 
     std::ostringstream os;
     reg.writeJson(os);
@@ -148,78 +143,78 @@ TEST(Metrics, JsonExportRoundTripsHostileNames)
     ASSERT_TRUE(root.at("histograms").has("h\\3"));
     const JsonValue &h = root.at("histograms").at("h\\3");
     EXPECT_DOUBLE_EQ(h.at("count").asNumber(), 1.0);
+    // Exported in seconds, quantiles included.
     EXPECT_DOUBLE_EQ(h.at("sum").asNumber(), 0.25);
-    // bounds + implicit +Inf bucket.
-    EXPECT_EQ(h.at("bounds").size(), 1u);
-    EXPECT_EQ(h.at("counts").size(), 2u);
+    EXPECT_DOUBLE_EQ(h.at("p50").asNumber(), 0.25);
+    EXPECT_DOUBLE_EQ(h.at("max").asNumber(), 0.25);
 }
 
 TEST(Metrics, PrometheusExportSanitizesNames)
 {
     obs::MetricsRegistry reg;
     reg.counter("realign.pool.tasks").add(3);
-    reg.histogram("stage.seconds", {1.0}).sample(0.5);
+    reg.histogram("stage.seconds").sample(0.5);
     std::ostringstream os;
     reg.writePrometheus(os);
     const std::string text = os.str();
     EXPECT_NE(text.find("realign_pool_tasks 3"), std::string::npos);
-    EXPECT_NE(text.find("stage_seconds_bucket{le=\"1\"} 1"),
-              std::string::npos);
+    EXPECT_NE(text.find("stage_seconds{quantile=\"0.5\"} 0.5"),
+              std::string::npos)
+        << text;
     EXPECT_NE(text.find("stage_seconds_count 1"),
               std::string::npos);
     // No unsanitized dots in metric names.
     EXPECT_EQ(text.find("realign.pool"), std::string::npos);
 }
 
-TEST(Metrics, PrometheusHistogramSeriesIsCumulativeAndConsistent)
+TEST(Metrics, PrometheusDistributionsAreSummaries)
 {
     obs::MetricsRegistry reg;
-    auto &h = reg.histogram("job.seconds", {0.1, 1.0, 10.0});
-    h.sample(0.05);
-    h.sample(0.5);
-    h.sample(0.5);
-    h.sample(5.0);
-    h.sample(50.0);
+    auto &h = reg.histogram("job.seconds");
+    for (double s : {0.05, 0.5, 0.5, 5.0, 50.0})
+        h.sample(s);
+    auto &depth = reg.latency("fleet.queue_depth");
+    for (uint64_t d : {2, 3, 300})
+        depth.record(d);
 
     std::ostringstream os;
     reg.writePrometheus(os);
     const std::string text = os.str();
 
-    // Exposition-format contract: _bucket series are cumulative
-    // (each le bound counts every sample <= it), monotone
-    // non-decreasing, and le="+Inf" equals _count exactly.
-    EXPECT_NE(text.find("job_seconds_bucket{le=\"0.1\"} 1"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("job_seconds_bucket{le=\"1\"} 3"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("job_seconds_bucket{le=\"10\"} 4"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("job_seconds_bucket{le=\"+Inf\"} 5"),
+    // Every distribution is a summary: quantile series in export
+    // units (seconds, or the raw value), never le buckets.
+    EXPECT_EQ(text.find(" histogram\n"), std::string::npos) << text;
+    EXPECT_EQ(text.find("_bucket"), std::string::npos) << text;
+    EXPECT_NE(text.find("# TYPE job_seconds summary"),
               std::string::npos)
         << text;
     EXPECT_NE(text.find("job_seconds_count 5"), std::string::npos)
         << text;
+    EXPECT_NE(text.find("job_seconds_sum 56.05"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("fleet_queue_depth{quantile=\"0.5\"} 3\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("fleet_queue_depth_sum 305"),
+              std::string::npos)
+        << text;
 
-    uint64_t inf_bucket = 0, count = 0;
-    std::istringstream lines(text);
-    std::string line;
-    uint64_t prev = 0;
-    while (std::getline(lines, line)) {
-        if (line.rfind("job_seconds_bucket", 0) == 0) {
-            uint64_t v =
-                std::stoull(line.substr(line.rfind(' ') + 1));
-            EXPECT_GE(v, prev) << "non-monotone series:\n" << text;
+    // Quantiles are non-decreasing within each summary.
+    for (const std::string p : {"job_seconds{", "fleet_queue_depth{"}) {
+        std::istringstream lines(text);
+        std::string line;
+        double prev = 0.0;
+        int seen = 0;
+        while (std::getline(lines, line)) {
+            if (line.rfind(p, 0) != 0)
+                continue;
+            double v = std::stod(line.substr(line.rfind(' ') + 1));
+            EXPECT_GE(v, prev) << line;
             prev = v;
-            if (line.find("+Inf") != std::string::npos)
-                inf_bucket = v;
-        } else if (line.rfind("job_seconds_count", 0) == 0) {
-            count = std::stoull(line.substr(line.rfind(' ') + 1));
+            ++seen;
         }
+        EXPECT_EQ(seen, 4) << p;
     }
-    EXPECT_EQ(inf_bucket, count);
 }
 
 TEST(Metrics, PrometheusEmptySummaryExposesNaNQuantiles)

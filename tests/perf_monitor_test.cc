@@ -159,6 +159,41 @@ TEST(PerfMonitor, CycleConservationPerCardAcrossFleet)
     EXPECT_EQ(res.fpga.totalCycles, res.makespan);
 }
 
+TEST(PerfMonitor, TargetLatencyIsTheSchedulersHistogram)
+{
+    // Each target's wait is recorded once, by the scheduler; the
+    // counter report carries that same histogram, per card and
+    // merged, on the 1-card and the 2-card stealing design points.
+    auto targets = makeTargets(29, 24);
+    AccelConfig cfg = AccelConfig::paperOptimized();
+    cfg.numUnits = 4;
+    cfg.perfCounters = true;
+    FpgaSystem sys(cfg);
+    ScheduleResult one = scheduleTargets(
+        sys, targets, SchedulePolicy::AsynchronousParallel);
+    EXPECT_EQ(one.targetLatencyCycles.count(), targets.size());
+    EXPECT_TRUE(one.perf.targetLatency == one.targetLatencyCycles);
+
+    FleetConfig fc;
+    fc.card = cfg;
+    fc.cards = 2;
+    fc.shardTargets = 4;
+    fc.stealing = true;
+    CardFleet fleet(fc);
+    FleetLease lease = fleet.lease();
+    ScheduleResult two = scheduleFleetTargets(
+        lease, targets, SchedulePolicy::AsynchronousParallel);
+    EXPECT_GT(two.fleet.steals(), 0u);
+    EXPECT_EQ(two.targetLatencyCycles.count(), targets.size());
+    EXPECT_TRUE(two.perf.targetLatency == two.targetLatencyCycles);
+    ASSERT_EQ(two.cardPerf.size(), 2u);
+    for (uint32_t k = 0; k < 2; ++k) {
+        EXPECT_EQ(two.cardPerf[k].targetLatency.count(),
+                  two.fleet.cards[k].targets)
+            << "card " << k;
+    }
+}
+
 TEST(PerfMonitor, WhdCountersConsistentAcrossScheduler)
 {
     auto targets = makeTargets(31, 20);

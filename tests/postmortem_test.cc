@@ -23,7 +23,10 @@
 #include "core/realign_job.hh"
 #include "fault/fault.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/obs.hh"
+#include "sim/perf_monitor.hh"
 #include "testing/corpus.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace iracc {
@@ -40,6 +43,31 @@ slurp(const std::string &path)
     std::ostringstream os;
     os << f.rdbuf();
     return os.str();
+}
+
+JsonValue
+parseJson(const std::string &text)
+{
+    std::string err;
+    JsonValue v = JsonValue::parse(text, &err);
+    EXPECT_EQ(v.kind(), JsonValue::Kind::Object) << err;
+    return v;
+}
+
+/** One exported distribution: @p count samples, and quantiles
+ *  ordered up to the max. */
+void
+expectDistribution(const JsonValue &d, double count,
+                   const std::string &what)
+{
+    ASSERT_EQ(d.kind(), JsonValue::Kind::Object) << what;
+    EXPECT_EQ(d.at("count").asNumber(), count) << what;
+    const double chain[] = {
+        d.at("p50").asNumber(), d.at("p90").asNumber(),
+        d.at("p99").asNumber(), d.at("p999").asNumber(),
+        d.at("max").asNumber()};
+    for (size_t i = 1; i < 5; ++i)
+        EXPECT_LE(chain[i - 1], chain[i]) << what << " step " << i;
 }
 
 /** Run the corpus case through a hardened job with a bundle
@@ -114,6 +142,56 @@ TEST(Postmortem, BundleEventLogMatchesGoldenFixture)
     RealignJobResult job2 = runCaseWithBundle(repro, dir2);
     EXPECT_EQ(job2.status, job.status);
     EXPECT_EQ(slurp(dir2 + "/events.log"), got);
+}
+
+TEST(Postmortem, EveryDistributionExportRoundTripsThroughJson)
+{
+    // The three exports of a distribution -- the registry dump
+    // (the bundle's metrics.json), the bundle summary, and the
+    // perf-counter JSON -- share one renderer and one shape.
+    setQuiet(true);
+    difftest::ReproCase repro = difftest::loadReproCase(kCase);
+    std::string dir = ::testing::TempDir() + "iracc-postmortem-dists";
+    std::filesystem::remove_all(dir);
+
+    obs::MetricsRegistry reg;
+    obs::Observability ob;
+    ob.metrics = &reg;
+    RealignJobConfig cfg;
+    cfg.obs = &ob;
+    cfg.postmortemDir = dir;
+    cfg.postmortemAlways = true;
+    std::vector<Read> reads = repro.reads;
+    RealignJobResult job = makeSession("iracc", cfg, true)
+                               .run(repro.reference, reads);
+    const double targets =
+        static_cast<double>(job.targetLatencyCycles.count());
+    ASSERT_GT(targets, 0.0);
+
+    JsonValue metrics = parseJson(slurp(dir + "/metrics.json"));
+    const JsonValue &hists = metrics.at("histograms");
+    expectDistribution(hists.at("realign.target.latency_cycles"),
+                       targets, "metrics latency_cycles");
+    expectDistribution(hists.at("realign.stage.execute.seconds"),
+                       static_cast<double>(job.contigs.size()),
+                       "metrics execute.seconds");
+
+    JsonValue summary = parseJson(slurp(dir + "/summary.json"));
+    expectDistribution(summary.at("latency").at("cycles"), targets,
+                       "summary cycles");
+    expectDistribution(summary.at("latency").at("ns"), targets,
+                       "summary ns");
+
+    std::ostringstream perf;
+    writePerfJson(perf, job.perf);
+    JsonValue counters = parseJson(perf.str());
+    for (const char *key :
+         {"targetCompute", "cmdQueueWait", "targetLatency"})
+        expectDistribution(counters.at(key), targets, key);
+    expectDistribution(
+        counters.at("unitIdleGap"),
+        static_cast<double>(job.perf.unitIdleGap.count()),
+        "unitIdleGap");
 }
 
 TEST(Postmortem, FaultPlanFileReplaysTheIncident)

@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "core/realign_job.hh"
 #include "core/workload.hh"
+#include "obs/obs.hh"
 #include "util/logging.hh"
 
 namespace iracc {
@@ -180,6 +182,42 @@ TEST(RealignJob, FleetBitEqualityAcrossCardsThreadsStealing)
             }
         }
     }
+}
+
+TEST(RealignJob, FleetQueueDepthRecordsRawShardCounts)
+{
+    setQuiet(true);
+    WorkloadParams params = multiContigWorkload();
+    params.chromosomes = {21};
+    GenomeWorkload wl = buildWorkload(params);
+
+    obs::MetricsRegistry reg;
+    obs::Observability ob;
+    ob.metrics = &reg;
+    RealignJobConfig cfg;
+    cfg.obs = &ob;
+    std::vector<Read> reads = allReads(wl);
+    RealignJobResult job =
+        RealignSession(makeBackend("iracc", true, false, 2, true), cfg)
+            .run(wl.reference, reads);
+
+    // One contig on two cards: one sample per card, holding that
+    // card's shard count as given.
+    ASSERT_EQ(job.fleet.cards.size(), 2u);
+    const uint64_t s0 = job.fleet.cards[0].shards;
+    const uint64_t s1 = job.fleet.cards[1].shards;
+    obs::LatencyHistogram depth =
+        reg.latencySnapshot("fleet.queue_depth");
+    EXPECT_EQ(depth.count(), 2u);
+    EXPECT_EQ(depth.max(), std::max(s0, s1));
+    EXPECT_EQ(depth.min(), std::min(s0, s1));
+    EXPECT_DOUBLE_EQ(reg.histogramSum("fleet.queue_depth"),
+                     static_cast<double>(s0 + s1));
+
+    // The counter report's per-target latency is the scheduler's
+    // histogram, merged up to the job.
+    ASSERT_TRUE(job.perf.enabled);
+    EXPECT_TRUE(job.perf.targetLatency == job.targetLatencyCycles);
 }
 
 TEST(RealignJob, MatchesPerContigShim)
