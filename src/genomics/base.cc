@@ -1,6 +1,6 @@
 #include "genomics/base.hh"
 
-#include <algorithm>
+#include <array>
 #include <cctype>
 
 #include "util/logging.hh"
@@ -36,15 +36,24 @@ baseToChar(Base b)
     panic("invalid Base enum value %d", static_cast<int>(b));
 }
 
+namespace {
+
+/** kValidBase[c] is true for A/C/G/T/N in either case. */
+constexpr std::array<bool, 256> kValidBase = [] {
+    std::array<bool, 256> valid{};
+    for (unsigned char c : {'A', 'C', 'G', 'T', 'N'}) {
+        valid[c] = true;
+        valid[c - 'A' + 'a'] = true;
+    }
+    return valid;
+}();
+
+} // namespace
+
 bool
 isValidBaseChar(char c)
 {
-    switch (std::toupper(static_cast<unsigned char>(c))) {
-      case 'A': case 'C': case 'G': case 'T': case 'N':
-        return true;
-      default:
-        return false;
-    }
+    return kValidBase[static_cast<unsigned char>(c)];
 }
 
 char
@@ -72,9 +81,12 @@ reverseComplement(const BaseSeq &seq)
 }
 
 bool
-isValidSequence(const BaseSeq &seq)
+isValidSequence(std::string_view seq)
 {
-    return std::all_of(seq.begin(), seq.end(), isValidBaseChar);
+    bool ok = true;
+    for (char c : seq)
+        ok &= kValidBase[static_cast<unsigned char>(c)];
+    return ok;
 }
 
 int

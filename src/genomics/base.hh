@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace iracc {
 
@@ -40,7 +41,7 @@ char complement(char c);
 BaseSeq reverseComplement(const BaseSeq &seq);
 
 /** @return true when every character of seq is a valid base. */
-bool isValidSequence(const BaseSeq &seq);
+bool isValidSequence(std::string_view seq);
 
 /** Index (0..3) of a concrete base for substitution sampling. */
 int baseIndex(char c);

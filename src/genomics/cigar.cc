@@ -54,7 +54,7 @@ Cigar::fromString(const std::string &s)
 }
 
 bool
-Cigar::tryFromString(const std::string &s, Cigar *out)
+Cigar::tryFromString(std::string_view s, Cigar *out)
 {
     std::vector<CigarElem> elems;
     if (s == "*" || s.empty()) {
@@ -81,14 +81,20 @@ Cigar::tryFromString(const std::string &s, Cigar *out)
               default:
                 return false;
             }
-            elems.push_back({static_cast<uint32_t>(len), op});
+            // Merge adjacent same-op runs and drop empty ones, as
+            // the element constructor does, in the one pass.
+            const auto n = static_cast<uint32_t>(len);
+            if (!elems.empty() && elems.back().op == op)
+                elems.back().length += n;
+            else if (n > 0)
+                elems.push_back({n, op});
             len = 0;
             have_len = false;
         }
     }
     if (have_len)
         return false;
-    *out = Cigar(std::move(elems));
+    out->elems = std::move(elems);
     return true;
 }
 

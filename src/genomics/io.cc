@@ -1,5 +1,7 @@
 #include "genomics/io.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <istream>
 #include <ostream>
 
@@ -8,15 +10,81 @@
 
 namespace iracc {
 
+namespace {
+
+/**
+ * The record writers render into one reusable string and hand it
+ * to the ostream in chunks of about this size.
+ */
+constexpr size_t kWriteChunkBytes = 64u << 10;
+
+/** Hand @p buf to @p os and empty it. */
+void
+drain(std::ostream &os, std::string &buf)
+{
+    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    buf.clear();
+}
+
+void
+appendInt(std::string &buf, int64_t v)
+{
+    char digits[24];
+    const auto res = std::to_chars(digits, digits + sizeof(digits), v);
+    buf.append(digits, res.ptr);
+}
+
+/** Append the Sanger FASTQ encoding of @p quals. */
+void
+appendQuals(std::string &buf, const QualSeq &quals)
+{
+    const size_t at = buf.size();
+    buf.resize(at + quals.size());
+    char *out = buf.data() + at;
+    // One max over the scores instead of a check per score, so the
+    // loop vectorizes.
+    uint8_t worst = 0;
+    for (size_t i = 0; i < quals.size(); ++i) {
+        worst = std::max(worst, quals[i]);
+        out[i] = static_cast<char>(quals[i] + 33);
+    }
+    panic_if(worst > kMaxPhred, "Phred score %u exceeds max %u", worst,
+             kMaxPhred);
+}
+
+/** Append the SAM text form of @p cigar ("*" when empty). */
+void
+appendCigar(std::string &buf, const Cigar &cigar)
+{
+    if (cigar.empty()) {
+        buf += '*';
+        return;
+    }
+    for (const CigarElem &e : cigar.elements()) {
+        appendInt(buf, e.length);
+        buf += cigarOpChar(e.op);
+    }
+}
+
+} // namespace
+
 void
 writeFasta(std::ostream &os, const ReferenceGenome &ref)
 {
+    std::string buf;
     for (size_t i = 0; i < ref.numContigs(); ++i) {
         const Contig &c = ref.contig(static_cast<int32_t>(i));
-        os << '>' << c.name << '\n';
-        for (size_t off = 0; off < c.seq.size(); off += 60)
-            os << c.seq.substr(off, 60) << '\n';
+        buf += '>';
+        buf += c.name;
+        buf += '\n';
+        for (size_t off = 0; off < c.seq.size(); off += 60) {
+            buf.append(c.seq, off, 60);
+            buf += '\n';
+            if (buf.size() >= kWriteChunkBytes)
+                drain(os, buf);
+        }
     }
+    drain(os, buf);
 }
 
 ReferenceGenome
@@ -53,12 +121,19 @@ readFasta(std::istream &is)
 void
 writeFastq(std::ostream &os, const std::vector<Read> &reads)
 {
+    std::string buf;
     for (const Read &r : reads) {
-        os << '@' << r.name << '\n'
-           << r.bases << '\n'
-           << "+\n"
-           << qualsToAscii(r.quals) << '\n';
+        buf += '@';
+        buf += r.name;
+        buf += '\n';
+        buf += r.bases;
+        buf += "\n+\n";
+        appendQuals(buf, r.quals);
+        buf += '\n';
+        if (buf.size() >= kWriteChunkBytes)
+            drain(os, buf);
     }
+    drain(os, buf);
 }
 
 std::vector<Read>
@@ -84,21 +159,33 @@ void
 writeSamLite(std::ostream &os, const ReferenceGenome &ref,
              const std::vector<Read> &reads)
 {
+    std::string buf;
     for (const Read &r : reads) {
         int flags = (r.reverse ? 0x10 : 0) |
                     (r.duplicate ? 0x400 : 0) |
                     (r.paired ? 0x1 : 0) |
                     (r.paired && r.firstOfPair ? 0x40 : 0) |
                     (r.paired && !r.firstOfPair ? 0x80 : 0);
-        os << r.name << '\t'
-           << ref.contig(r.contig).name << '\t'
-           << (r.pos + 1) << '\t'
-           << static_cast<int>(r.mapq) << '\t'
-           << r.cigar.toString() << '\t'
-           << flags << '\t'
-           << r.bases << '\t'
-           << qualsToAscii(r.quals) << '\n';
+        buf += r.name;
+        buf += '\t';
+        buf += ref.contig(r.contig).name;
+        buf += '\t';
+        appendInt(buf, r.pos + 1);
+        buf += '\t';
+        appendInt(buf, r.mapq);
+        buf += '\t';
+        appendCigar(buf, r.cigar);
+        buf += '\t';
+        appendInt(buf, flags);
+        buf += '\t';
+        buf += r.bases;
+        buf += '\t';
+        appendQuals(buf, r.quals);
+        buf += '\n';
+        if (buf.size() >= kWriteChunkBytes)
+            drain(os, buf);
     }
+    drain(os, buf);
 }
 
 std::vector<Read>

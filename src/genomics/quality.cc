@@ -1,5 +1,6 @@
 #include "genomics/quality.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -66,16 +67,20 @@ asciiToQuals(const std::string &s)
 }
 
 bool
-tryAsciiToQuals(const std::string &s, QualSeq *out)
+tryAsciiToQuals(std::string_view s, QualSeq *out)
 {
-    QualSeq quals;
-    quals.reserve(s.size());
-    for (char c : s) {
-        int q = static_cast<unsigned char>(c) - 33;
-        if (q < 0 || q > kMaxPhred)
-            return false;
-        quals.push_back(static_cast<uint8_t>(q));
+    QualSeq quals(s.size());
+    // Unsigned wrap folds "below '!'" into "above the range", so
+    // one max over the scores checks both ends (and vectorizes).
+    uint8_t worst = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+        const uint8_t q =
+            static_cast<uint8_t>(static_cast<unsigned char>(s[i]) - 33);
+        worst = std::max(worst, q);
+        quals[i] = q;
     }
+    if (worst > kMaxPhred)
+        return false;
     *out = std::move(quals);
     return true;
 }

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace iracc {
@@ -53,7 +54,7 @@ QualSeq asciiToQuals(const std::string &s);
  * able to trigger.  @return false without touching @p out when any
  * character is out of range.
  */
-bool tryAsciiToQuals(const std::string &s, QualSeq *out);
+bool tryAsciiToQuals(std::string_view s, QualSeq *out);
 
 } // namespace iracc
 

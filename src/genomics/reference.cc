@@ -25,7 +25,7 @@ ReferenceGenome::contig(int32_t idx) const
 }
 
 int32_t
-ReferenceGenome::findContig(const std::string &name) const
+ReferenceGenome::findContig(std::string_view name) const
 {
     for (size_t i = 0; i < contigs.size(); ++i)
         if (contigs[i].name == name)

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "genomics/base.hh"
@@ -43,7 +44,7 @@ class ReferenceGenome
     const Contig &contig(int32_t idx) const;
 
     /** @return contig index for a name, or -1 when absent. */
-    int32_t findContig(const std::string &name) const;
+    int32_t findContig(std::string_view name) const;
 
     /** @return total bases across all contigs. */
     int64_t totalLength() const;

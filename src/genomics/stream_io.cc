@@ -1,9 +1,11 @@
 #include "genomics/stream_io.hh"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <istream>
 
 #include "genomics/base.hh"
-#include "util/argparse.hh"
 #include "util/logging.hh"
 
 namespace iracc {
@@ -60,38 +62,105 @@ setError(ParseError *err, StreamErrorCode code, uint64_t line,
     err->message = std::move(message);
 }
 
+/**
+ * Concatenate string-like parts.  Error messages are built with
+ * += rather than an operator+ chain, which GCC 12 misreports under
+ * -Wrestrict once a std::string_view is converted in the middle.
+ */
+template <typename... Parts>
+std::string
+concat(const Parts &...parts)
+{
+    std::string out;
+    ((out += parts), ...);
+    return out;
+}
+
+/** @return the first @p c in [from, to), or @p to. */
+const char *
+findByte(const char *from, const char *to, char c)
+{
+    const void *hit =
+        std::memchr(from, c, static_cast<size_t>(to - from));
+    return hit ? static_cast<const char *>(hit) : to;
+}
+
+/** Whole-token base-10 integer: no '+', no radix prefix. */
+bool
+parseDecimal(std::string_view text, int64_t *out)
+{
+    const char *last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, *out);
+    return ec == std::errc() && ptr == last;
+}
+
 } // namespace
 
 LineScanner::LineScanner(std::istream &is, StreamLimits limits)
-    : in(is), lim(limits)
+    : in(is), lim(limits), buf(kBlockBytes)
 {
 }
 
-bool
-LineScanner::next(std::string *line, ParseError *err)
+void
+LineScanner::refill()
 {
-    // Character-wise pull so an oversized line is rejected at the
-    // limit instead of being buffered whole -- the reader's memory
-    // bound must hold against hostile input too.
-    std::streambuf *buf = in.rdbuf();
-    line->clear();
-    int c = buf->sbumpc();
-    if (c == std::streambuf::traits_type::eof())
-        return false;
-    ++lineno;
-    while (c != std::streambuf::traits_type::eof() && c != '\n') {
-        if (line->size() >= lim.maxLineBytes) {
+    // Slide the unfinished line to the front, so the buffer holds
+    // that line plus at most one new block.
+    if (begin > 0) {
+        std::memmove(buf.data(), buf.data() + begin, end - begin);
+        end -= begin;
+        scanned -= begin;
+        begin = 0;
+    }
+    // A buffer full of one line shorter than the limit: grow toward
+    // maxLineBytes + 1, the most it takes to prove a line too long.
+    if (end == buf.size())
+        buf.resize(std::min(2 * buf.size(), lim.maxLineBytes) + 1);
+    in.read(buf.data() + end, static_cast<std::streamsize>(
+                                  std::min(kBlockBytes,
+                                           buf.size() - end)));
+    end += static_cast<size_t>(in.gcount());
+    if (!in)
+        eof = true;
+}
+
+bool
+LineScanner::next(std::string_view *line, ParseError *err)
+{
+    for (;;) {
+        if (oversized) {
             setError(err, StreamErrorCode::OversizedLine, lineno,
-                     "line exceeds " +
-                         std::to_string(lim.maxLineBytes) + " bytes");
+                     concat("line exceeds ",
+                            std::to_string(lim.maxLineBytes),
+                            " bytes"));
             return false;
         }
-        line->push_back(static_cast<char>(c));
-        c = buf->sbumpc();
+        const char *data = buf.data();
+        const size_t stop = static_cast<size_t>(
+            findByte(data + scanned, data + end, '\n') - data);
+        const bool haveNewline = stop < end;
+        if (stop - begin > lim.maxLineBytes) {
+            ++lineno;
+            oversized = true;
+            continue;
+        }
+        if (!haveNewline && !eof) {
+            scanned = end;
+            refill();
+            continue;
+        }
+        if (!haveNewline && begin == end)
+            return false;
+        // A line ends at the newline, or at EOF for a final line
+        // without one.
+        ++lineno;
+        size_t len = stop - begin;
+        if (len > 0 && data[stop - 1] == '\r')
+            --len;
+        *line = std::string_view(data + begin, len);
+        begin = scanned = haveNewline ? stop + 1 : stop;
+        return true;
     }
-    if (!line->empty() && line->back() == '\r')
-        line->pop_back();
-    return true;
 }
 
 FastqStreamReader::FastqStreamReader(std::istream &is,
@@ -103,11 +172,11 @@ FastqStreamReader::FastqStreamReader(std::istream &is,
 StreamStatus
 FastqStreamReader::next(Read *out, ParseError *err)
 {
-    std::string header;
+    std::string_view line;
     ParseError scanErr;
     // Tolerate blank lines between records (batch-reader parity).
     do {
-        if (!scanner.next(&header, &scanErr)) {
+        if (!scanner.next(&line, &scanErr)) {
             if (!scanErr.ok()) {
                 if (err)
                     *err = scanErr;
@@ -115,30 +184,40 @@ FastqStreamReader::next(Read *out, ParseError *err)
             }
             return StreamStatus::End;
         }
-    } while (header.empty());
+    } while (line.empty());
 
-    if (header[0] != '@' || header.size() < 2) {
+    if (line[0] != '@' || line.size() < 2) {
         setError(err, StreamErrorCode::MalformedRecord,
                  scanner.lineNumber(),
                  "expected '@name' FASTQ header");
         return StreamStatus::Error;
     }
 
-    std::string bases, plus, quals;
-    for (std::string *l : {&bases, &plus, &quals}) {
-        if (!scanner.next(l, &scanErr)) {
-            if (!scanErr.ok()) {
-                if (err)
-                    *err = scanErr;
-            } else {
-                setError(err, StreamErrorCode::TruncatedRecord,
-                         scanner.lineNumber(),
-                         "EOF inside FASTQ record '" + header + "'");
-            }
-            return StreamStatus::Error;
+    // Each view dies at the next pull, so keep what the checks
+    // below need before pulling on.
+    const std::string header(line);
+    auto pull = [&] {
+        if (scanner.next(&line, &scanErr))
+            return true;
+        if (!scanErr.ok()) {
+            if (err)
+                *err = scanErr;
+        } else {
+            setError(err, StreamErrorCode::TruncatedRecord,
+                     scanner.lineNumber(),
+                     concat("EOF inside FASTQ record '", header, "'"));
         }
-    }
-    if (plus.empty() || plus[0] != '+') {
+        return false;
+    };
+    if (!pull())
+        return StreamStatus::Error;
+    std::string bases(line);
+    if (!pull())
+        return StreamStatus::Error;
+    const bool plusOk = !line.empty() && line[0] == '+';
+    if (!pull())
+        return StreamStatus::Error;
+    if (!plusOk) {
         setError(err, StreamErrorCode::MalformedRecord,
                  scanner.lineNumber() - 1,
                  "expected '+' FASTQ separator");
@@ -147,57 +226,35 @@ FastqStreamReader::next(Read *out, ParseError *err)
     if (!isValidSequence(bases)) {
         setError(err, StreamErrorCode::InvalidBase,
                  scanner.lineNumber() - 2,
-                 "base outside A/C/G/T/N in '" + header + "'");
+                 concat("base outside A/C/G/T/N in '", header, "'"));
         return StreamStatus::Error;
     }
     QualSeq qualSeq;
-    if (!tryAsciiToQuals(quals, &qualSeq)) {
+    if (!tryAsciiToQuals(line, &qualSeq)) {
         setError(err, StreamErrorCode::InvalidQuality,
                  scanner.lineNumber(),
-                 "quality char outside Sanger range in '" + header +
-                     "'");
+                 concat("quality char outside Sanger range in '",
+                        header, "'"));
         return StreamStatus::Error;
     }
     if (bases.size() != qualSeq.size()) {
         setError(err, StreamErrorCode::LengthMismatch,
                  scanner.lineNumber(),
-                 std::to_string(bases.size()) + " bases but " +
-                     std::to_string(qualSeq.size()) + " qualities");
+                 concat(std::to_string(bases.size()), " bases but ",
+                        std::to_string(qualSeq.size()),
+                        " qualities"));
         return StreamStatus::Error;
     }
 
     Read r;
     r.name = header.substr(1);
-    r.bases = bases;
+    r.bases = std::move(bases);
     r.quals = std::move(qualSeq);
     r.cigar = Cigar();
     *out = std::move(r);
     ++count;
     return StreamStatus::Record;
 }
-
-namespace {
-
-/** Split on runs of tabs/spaces (what the batch reader accepted). */
-std::vector<std::string>
-splitFields(const std::string &line)
-{
-    std::vector<std::string> fields;
-    size_t i = 0;
-    while (i < line.size()) {
-        while (i < line.size() &&
-               (line[i] == '\t' || line[i] == ' '))
-            ++i;
-        size_t start = i;
-        while (i < line.size() && line[i] != '\t' && line[i] != ' ')
-            ++i;
-        if (i > start)
-            fields.push_back(line.substr(start, i - start));
-    }
-    return fields;
-}
-
-} // namespace
 
 SamLiteStreamReader::SamLiteStreamReader(std::istream &is,
                                          const ReferenceGenome &ref,
@@ -209,7 +266,7 @@ SamLiteStreamReader::SamLiteStreamReader(std::istream &is,
 StreamStatus
 SamLiteStreamReader::next(Read *out, ParseError *err)
 {
-    std::string line;
+    std::string_view line;
     ParseError scanErr;
     do {
         if (!scanner.next(&line, &scanErr)) {
@@ -222,98 +279,119 @@ SamLiteStreamReader::next(Read *out, ParseError *err)
         }
     } while (line.empty() || line[0] == '#');
 
+    // Split on runs of tabs/spaces (what the batch reader accepted),
+    // counting every field for the error message.
     const uint64_t lineno = scanner.lineNumber();
-    std::vector<std::string> f = splitFields(line);
-    if (f.size() != 8) {
+    std::string_view f[8];
+    size_t nfields = 0;
+    const char *p = line.data();
+    const char *const last = p + line.size();
+    for (;;) {
+        while (p < last && (*p == '\t' || *p == ' '))
+            ++p;
+        if (p == last)
+            break;
+        // memchr beats a byte loop over the long bases and
+        // qualities fields.
+        const char *start = p;
+        p = findByte(start, findByte(start, last, '\t'), ' ');
+        if (nfields < 8)
+            f[nfields] = std::string_view(
+                start, static_cast<size_t>(p - start));
+        ++nfields;
+    }
+    if (nfields != 8) {
         setError(err, StreamErrorCode::WrongFieldCount, lineno,
-                 "expected 8 fields, found " +
-                     std::to_string(f.size()));
+                 concat("expected 8 fields, found ",
+                        std::to_string(nfields)));
         return StreamStatus::Error;
     }
 
     const int32_t contig = genome.findContig(f[1]);
     if (contig < 0) {
         setError(err, StreamErrorCode::UnknownContig, lineno,
-                 "contig '" + f[1] + "' not in the reference");
+                 concat("contig '", f[1], "' not in the reference"));
         return StreamStatus::Error;
     }
     const int64_t contigLen =
         static_cast<int64_t>(genome.contig(contig).seq.size());
 
     int64_t pos1 = 0;
-    if (!parseInt64(f[2], &pos1)) {
+    if (!parseDecimal(f[2], &pos1)) {
         setError(err, StreamErrorCode::MalformedField, lineno,
-                 "POS '" + f[2] + "' is not a whole integer");
+                 concat("POS '", f[2], "' is not a whole integer"));
         return StreamStatus::Error;
     }
     if (pos1 < 1 || pos1 - 1 >= contigLen) {
         setError(err, StreamErrorCode::PositionOutOfRange, lineno,
-                 "POS " + f[2] + " outside contig '" + f[1] +
-                     "' (length " + std::to_string(contigLen) + ")");
+                 concat("POS ", f[2], " outside contig '", f[1],
+                        "' (length ", std::to_string(contigLen),
+                        ")"));
         return StreamStatus::Error;
     }
 
     int64_t mapq = 0;
-    if (!parseInt64(f[3], &mapq)) {
+    if (!parseDecimal(f[3], &mapq)) {
         setError(err, StreamErrorCode::MalformedField, lineno,
-                 "MAPQ '" + f[3] + "' is not a whole integer");
+                 concat("MAPQ '", f[3], "' is not a whole integer"));
         return StreamStatus::Error;
     }
     if (mapq < 0 || mapq > 255) {
         setError(err, StreamErrorCode::FieldOutOfRange, lineno,
-                 "MAPQ " + f[3] + " outside [0, 255]");
+                 concat("MAPQ ", f[3], " outside [0, 255]"));
         return StreamStatus::Error;
     }
 
     Cigar cigar;
     if (!Cigar::tryFromString(f[4], &cigar)) {
         setError(err, StreamErrorCode::MalformedCigar, lineno,
-                 "malformed CIGAR '" + f[4] + "'");
+                 concat("malformed CIGAR '", f[4], "'"));
         return StreamStatus::Error;
     }
 
     int64_t flags = 0;
-    if (!parseInt64(f[5], &flags)) {
+    if (!parseDecimal(f[5], &flags)) {
         setError(err, StreamErrorCode::MalformedField, lineno,
-                 "FLAG '" + f[5] + "' is not a whole integer");
+                 concat("FLAG '", f[5], "' is not a whole integer"));
         return StreamStatus::Error;
     }
     if (flags < 0 || flags > 0xFFFF) {
         setError(err, StreamErrorCode::FieldOutOfRange, lineno,
-                 "FLAG " + f[5] + " outside [0, 65535]");
+                 concat("FLAG ", f[5], " outside [0, 65535]"));
         return StreamStatus::Error;
     }
 
     if (!isValidSequence(f[6])) {
         setError(err, StreamErrorCode::InvalidBase, lineno,
-                 "base outside A/C/G/T/N in read '" + f[0] + "'");
+                 concat("base outside A/C/G/T/N in read '", f[0],
+                        "'"));
         return StreamStatus::Error;
     }
 
     QualSeq quals;
     if (!tryAsciiToQuals(f[7], &quals)) {
         setError(err, StreamErrorCode::InvalidQuality, lineno,
-                 "quality char outside Sanger range in read '" +
-                     f[0] + "'");
+                 concat("quality char outside Sanger range in read '",
+                        f[0], "'"));
         return StreamStatus::Error;
     }
     if (quals.size() != f[6].size()) {
         setError(err, StreamErrorCode::LengthMismatch, lineno,
-                 std::to_string(f[6].size()) + " bases but " +
-                     std::to_string(quals.size()) + " qualities");
+                 concat(std::to_string(f[6].size()), " bases but ",
+                        std::to_string(quals.size()), " qualities"));
         return StreamStatus::Error;
     }
     if (!cigar.empty() && cigar.readLength() != f[6].size()) {
         setError(err, StreamErrorCode::CigarMismatch, lineno,
-                 "CIGAR '" + f[4] + "' consumes " +
-                     std::to_string(cigar.readLength()) +
-                     " bases, sequence has " +
-                     std::to_string(f[6].size()));
+                 concat("CIGAR '", f[4], "' consumes ",
+                        std::to_string(cigar.readLength()),
+                        " bases, sequence has ",
+                        std::to_string(f[6].size())));
         return StreamStatus::Error;
     }
 
     Read r;
-    r.name = std::move(f[0]);
+    r.name = f[0];
     r.contig = contig;
     r.pos = pos1 - 1;
     r.mapq = static_cast<uint8_t>(mapq);
@@ -322,7 +400,7 @@ SamLiteStreamReader::next(Read *out, ParseError *err)
     r.duplicate = (flags & 0x400) != 0;
     r.paired = (flags & 0x1) != 0;
     r.firstOfPair = (flags & 0x40) != 0;
-    r.bases = std::move(f[6]);
+    r.bases = f[6];
     r.quals = std::move(quals);
     // Every invariant assertValid checks was validated above, so
     // this cannot fire on untrusted input.

@@ -12,6 +12,14 @@
  * undefined behaviour, it can only produce an error code (asserted
  * exhaustively by tests/stream_io_test.cc).
  *
+ * Ingest is bulk: a LineScanner pulls fixed-size blocks with
+ * std::istream::read and hands out lines as views into its buffer,
+ * and the SAM-lite reader splits and parses fields in place, so a
+ * record costs no allocation beyond the Read it produces.  A reader
+ * owns its istream from construction on and reads ahead of the
+ * record it last returned: callers must not read from the stream
+ * themselves afterwards.
+ *
  * SamLiteBatchSource layers contig grouping on top: it yields one
  * contig's reads per call, which is what the bounded-memory job
  * entry point RealignSession::runStreamed consumes.  Peak memory is
@@ -25,6 +33,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -98,27 +107,48 @@ struct StreamLimits
 /**
  * Line tokenizer shared by the streaming readers: strips one
  * trailing '\r' (CRLF input), counts lines, and enforces
- * StreamLimits::maxLineBytes without ever buffering an oversized
- * line.
+ * StreamLimits::maxLineBytes (the '\r' counts toward it).
+ *
+ * The scanner reads kBlockBytes at a time and finds line ends with
+ * memchr.  Its buffer holds one block, and grows only to fit a
+ * single line longer than a block: to at most maxLineBytes + 1
+ * bytes, enough to see that a line is too long.  So memory stays
+ * bounded against hostile input; the file is never slurped or
+ * mapped.  The scanner reads ahead of the line it returns, so
+ * nothing else may read the istream while it is in use.
  */
 class LineScanner
 {
   public:
+    /** Bytes requested from the istream per read. */
+    static constexpr size_t kBlockBytes = 64u << 10;
+
     explicit LineScanner(std::istream &is, StreamLimits limits = {});
 
     /**
      * Pull the next line.  @return false at end of stream (err
-     * untouched) and on an oversized line (err filled); true with
-     * @p line filled otherwise.
+     * untouched) and on an oversized line (err filled, and every
+     * later call fails the same way); true with @p line filled
+     * otherwise.  @p line views the scanner's buffer and stays
+     * valid only until the next call.
      */
-    bool next(std::string *line, ParseError *err);
+    bool next(std::string_view *line, ParseError *err);
 
     /** 1-based number of the line last returned. */
     uint64_t lineNumber() const { return lineno; }
 
   private:
+    /** Append up to one block to the buffer; sets eof at its end. */
+    void refill();
+
     std::istream &in;
     StreamLimits lim;
+    std::vector<char> buf;
+    size_t begin = 0;   ///< first byte not yet returned
+    size_t end = 0;     ///< one past the last buffered byte
+    size_t scanned = 0; ///< [begin, scanned) holds no newline
+    bool eof = false;
+    bool oversized = false;
     uint64_t lineno = 0;
 };
 
@@ -146,14 +176,16 @@ class FastqStreamReader
 
 /**
  * Pull-based SAM-lite reader.  Every field is validated with
- * whole-token parsing (util/argparse) before a Read is built, so an
- * accepted record always satisfies Read::assertValid -- hostile
- * input cannot smuggle a panic into the pipeline:
+ * whole-token parsing before a Read is built, so an accepted record
+ * always satisfies Read::assertValid -- hostile input cannot smuggle
+ * a panic into the pipeline:
  *
  *  - exactly 8 whitespace-separated fields (WrongFieldCount)
  *  - contig resolved against the reference (UnknownContig)
- *  - POS a whole-token integer (MalformedField), >= 1 and on the
- *    contig (PositionOutOfRange)
+ *  - POS, MAPQ and FLAG whole-token base-10 integers: no sign
+ *    other than '-', no radix prefix, leading zeros are decimal
+ *    (MalformedField)
+ *  - POS >= 1 and on the contig (PositionOutOfRange)
  *  - MAPQ in [0, 255], FLAG in [0, 0xFFFF] (FieldOutOfRange)
  *  - CIGAR via Cigar::tryFromString (MalformedCigar), consuming
  *    exactly the sequence length (CigarMismatch)

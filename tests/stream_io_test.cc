@@ -2,7 +2,10 @@
  * @file
  * Hostile-input tests for the streaming FASTQ/SAM-lite readers
  * (genomics/stream_io.hh): every StreamErrorCode rejection path is
- * exercised with a concrete malformed input, a seeded fuzz loop
+ * exercised with a concrete malformed input, the block line scanner
+ * is checked against a std::getline oracle across its refill
+ * boundaries and its line-length and read-ahead bounds, a golden
+ * literal pins the writers' bytes, a seeded fuzz loop
  * hammers the SAM-lite reader with random mutations of valid files
  * (run under ASan/UBSan in CI), and the streaming/in-memory
  * bit-equality contract is asserted across the full differential
@@ -11,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -121,6 +126,42 @@ TEST(SamLiteStream, RejectsMalformedNumericFields)
     expectSamError(
         "r1\tCh9\t99999999999999999999\t60\t4M\t0\tACGT\tIIII",
         StreamErrorCode::MalformedField);
+    // Decimal only: no radix prefix, no '+' sign.
+    expectSamError("r1\tCh9\t0x10\t60\t4M\t0\tACGT\tIIII",
+                   StreamErrorCode::MalformedField);
+    expectSamError("r1\tCh9\t+5\t60\t4M\t0\tACGT\tIIII",
+                   StreamErrorCode::MalformedField);
+    expectSamError("r1\tCh9\t1\t0x3c\t4M\t0\tACGT\tIIII",
+                   StreamErrorCode::MalformedField);
+    expectSamError("r1\tCh9\t1\t+60\t4M\t0\tACGT\tIIII",
+                   StreamErrorCode::MalformedField);
+    expectSamError("r1\tCh9\t1\t60\t4M\t0x10\tACGT\tIIII",
+                   StreamErrorCode::MalformedField);
+    expectSamError("r1\tCh9\t1\t60\t4M\t+16\tACGT\tIIII",
+                   StreamErrorCode::MalformedField);
+}
+
+TEST(SamLiteStream, ParsesLeadingZerosAsDecimal)
+{
+    ReferenceGenome ref = smallRef();
+    // Leading zeros are decimal, never an octal prefix.
+    std::istringstream in(
+        "r1\tCh9\t010\t060\t4M\t016\tACGT\tIIII\n"
+        "r2\tCh9\t08\t09\t4M\t00\tACGT\tIIII\n");
+    SamLiteStreamReader reader(in, ref);
+    Read r;
+    ParseError err;
+    ASSERT_EQ(reader.next(&r, &err), StreamStatus::Record)
+        << err.describe();
+    EXPECT_EQ(r.pos, 9);
+    EXPECT_EQ(r.mapq, 60);
+    EXPECT_TRUE(r.reverse);
+    ASSERT_EQ(reader.next(&r, &err), StreamStatus::Record)
+        << err.describe();
+    EXPECT_EQ(r.pos, 7);
+    EXPECT_EQ(r.mapq, 9);
+    EXPECT_FALSE(r.reverse);
+    EXPECT_EQ(reader.next(&r, &err), StreamStatus::End);
 }
 
 TEST(SamLiteStream, RejectsOutOfRangePosition)
@@ -276,6 +317,207 @@ TEST(FastqStream, RejectsOversizedLine)
     ParseError err;
     ASSERT_EQ(reader.next(&r, &err), StreamStatus::Error);
     EXPECT_EQ(err.code, StreamErrorCode::OversizedLine);
+}
+
+/** What std::getline makes of @p text, one trailing '\r' dropped. */
+std::vector<std::string>
+getlineOracle(const std::string &text)
+{
+    std::istringstream in(text);
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (!line.empty() && line.back() == '\r')
+            line.pop_back();
+        lines.push_back(line);
+    }
+    return lines;
+}
+
+/** Drain a LineScanner over @p text; it must end without error. */
+std::vector<std::string>
+scanLines(const std::string &text, StreamLimits limits = {})
+{
+    std::istringstream in(text);
+    LineScanner scanner(in, limits);
+    std::vector<std::string> lines;
+    std::string_view line;
+    ParseError err;
+    while (scanner.next(&line, &err))
+        lines.emplace_back(line);
+    EXPECT_TRUE(err.ok()) << err.describe();
+    EXPECT_EQ(scanner.lineNumber(), lines.size());
+    return lines;
+}
+
+TEST(LineScanner, MatchesGetlineAcrossRefillBoundaries)
+{
+    constexpr size_t kBlock = LineScanner::kBlockBytes;
+    std::string nul("n\0l", 3);
+    for (const std::string eol : {"\n", "\r\n"}) {
+        for (bool finalEol : {true, false}) {
+            // The first line's terminator lands at every offset
+            // around the first refill, so '\r' and '\n' split
+            // across it too; the block-long third line straddles
+            // the second refill.
+            for (size_t first = kBlock - 4; first <= kBlock + 3;
+                 ++first) {
+                std::string text = std::string(first, 'a') + eol +
+                                   nul + eol + std::string(kBlock, 'c') +
+                                   eol + eol + "tail";
+                if (finalEol)
+                    text += eol;
+                EXPECT_EQ(scanLines(text), getlineOracle(text))
+                    << "first=" << first << " crlf=" << eol.size()
+                    << " finalEol=" << finalEol;
+            }
+        }
+    }
+    for (const std::string &text :
+         {std::string(), std::string("\n"), std::string("\n\n"),
+          std::string("\r\n"), std::string("x"), std::string("\r"),
+          std::string("a\0b\nc\0\n", 7)}) {
+        EXPECT_EQ(scanLines(text), getlineOracle(text));
+    }
+}
+
+/** Expect line @p line of @p text to be rejected as oversized. */
+void
+expectOversized(const std::string &text, size_t limit, uint64_t line)
+{
+    std::istringstream in(text);
+    StreamLimits limits;
+    limits.maxLineBytes = limit;
+    LineScanner scanner(in, limits);
+    std::string_view view;
+    ParseError err;
+    while (scanner.next(&view, &err)) {
+    }
+    EXPECT_EQ(err.code, StreamErrorCode::OversizedLine);
+    EXPECT_EQ(err.line, line);
+    // Sticky: the scanner does not resume mid-line.
+    ParseError again;
+    EXPECT_FALSE(scanner.next(&view, &again));
+    EXPECT_EQ(again.code, StreamErrorCode::OversizedLine);
+}
+
+TEST(LineScanner, EnforcesMaxLineBytesExactly)
+{
+    for (size_t limit : {size_t{16}, LineScanner::kBlockBytes + 5}) {
+        StreamLimits limits;
+        limits.maxLineBytes = limit;
+        const std::string atLimit(limit, 'x');
+        // Length == limit is accepted, with or without a newline.
+        EXPECT_EQ(scanLines("ok\n" + atLimit + "\nend\n", limits),
+                  getlineOracle("ok\n" + atLimit + "\nend\n"));
+        EXPECT_EQ(scanLines(atLimit, limits),
+                  std::vector<std::string>{atLimit});
+        // The '\r' of CRLF counts toward the limit.
+        const std::string crlfAtLimit(limit - 1, 'x');
+        EXPECT_EQ(scanLines(crlfAtLimit + "\r\n", limits),
+                  std::vector<std::string>{crlfAtLimit});
+        // limit + 1 is rejected, anchored to its line.
+        expectOversized("ok\n" + atLimit + "y\nend\n", limit, 2);
+        expectOversized(atLimit + "y", limit, 1);
+        expectOversized(atLimit + "\r\n", limit, 1);
+    }
+}
+
+/** An endless line without a newline that counts bytes handed out. */
+class EndlessLineBuf : public std::streambuf
+{
+  public:
+    uint64_t pulled = 0;
+
+  protected:
+    std::streamsize
+    xsgetn(char *s, std::streamsize n) override
+    {
+        std::memset(s, 'A', static_cast<size_t>(n));
+        pulled += static_cast<uint64_t>(n);
+        return n;
+    }
+
+    int_type
+    underflow() override
+    {
+        one = 'A';
+        setg(&one, &one, &one + 1);
+        ++pulled;
+        return traits_type::to_int_type(one);
+    }
+
+  private:
+    char one = 'A';
+};
+
+TEST(LineScanner, StopsReadingAnEndlessLine)
+{
+    for (size_t limit : {size_t{100}, StreamLimits{}.maxLineBytes}) {
+        EndlessLineBuf endless;
+        std::istream in(&endless);
+        StreamLimits limits;
+        limits.maxLineBytes = limit;
+        LineScanner scanner(in, limits);
+        std::string_view line;
+        ParseError err;
+        EXPECT_FALSE(scanner.next(&line, &err));
+        EXPECT_EQ(err.code, StreamErrorCode::OversizedLine);
+        EXPECT_EQ(err.line, 1u);
+        EXPECT_LE(endless.pulled, limit + LineScanner::kBlockBytes);
+    }
+}
+
+/**
+ * Hand-written SAM-lite covering every flag combination the writer
+ * emits, '*' and multi-op CIGARs, POS 1 and a 9-digit POS, MAPQ 0
+ * and 255, Phred 0 ('!') and kMaxPhred ('~'), and lower-case bases.
+ * Every other writer check compares two outputs of the same build,
+ * so only a literal catches a writer that changes bytes.
+ */
+const char kGoldenSamLite[] =
+    "u0\tChBig\t1\t0\t*\t0\tACGT\t!!!!\n"
+    "u1\tChBig\t2\t60\t4M\t16\tacgt\t~~~~\n"
+    "u2\tChBig\t3\t255\t1S2M1I3M\t1024\tACGTNAC\t!5?I^h~\n"
+    "u3\tChBig\t4\t7\t2M3D2M\t1040\tNNNN\tIIII\n"
+    "p0\tChBig\t100000000\t60\t4M\t65\tACGT\tIIII\n"
+    "p1\tChBig\t123456789\t60\t2S2M\t81\tACGT\t!~!~\n"
+    "p2\tCh9\t1\t60\t4M\t1089\tACGT\tIIII\n"
+    "p3\tCh9\t97\t60\t4M\t1105\tTTTT\tIIII\n"
+    "s0\tCh9\t5\t60\t9M2D4M1I\t129\tACGTACGTACGTAC\t"
+    "0123456789:;<=\n"
+    "s1\tCh9\t6\t60\t4M\t145\tACGT\tIIII\n"
+    "s2\tCh9\t7\t60\t4M\t1153\tACGT\tIIII\n"
+    "s3\tCh9\t8\t60\t4M\t1169\tACGT\t!!~~\n";
+
+TEST(Writers, SamLiteGoldenRoundTripsByteForByte)
+{
+    ReferenceGenome ref = smallRef();
+    ref.addContig("ChBig", BaseSeq(123456800, 'A'));
+    // Enough copies that the writer hands over several chunks.
+    std::string golden;
+    for (int i = 0; i < 1000; ++i)
+        golden += kGoldenSamLite;
+    std::istringstream in(golden);
+    std::vector<Read> reads = readSamLite(in, ref);
+    ASSERT_EQ(reads.size(), 12000u);
+    std::ostringstream out;
+    writeSamLite(out, ref, reads);
+    EXPECT_EQ(out.str(), golden);
+}
+
+TEST(Writers, FastqGoldenRoundTripsByteForByte)
+{
+    const std::string golden =
+        "@r1\nACGTN\n+\n!5I^~\n"
+        "@r2 described\nacgt\n+\n~~!!\n"
+        "@r3\n\n+\n\n";
+    std::istringstream in(golden);
+    std::vector<Read> reads = readFastq(in);
+    ASSERT_EQ(reads.size(), 3u);
+    std::ostringstream out;
+    writeFastq(out, reads);
+    EXPECT_EQ(out.str(), golden);
 }
 
 TEST(BatchSource, GroupsByContigInOrder)
