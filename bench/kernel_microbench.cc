@@ -94,11 +94,10 @@ BENCHMARK(BM_CalcWhd);
 void
 BM_MinWhd(benchmark::State &state, WhdKernel kernel, bool prune)
 {
-    ScopedWhdKernel scope(kernel);
     IrTargetInput input = benchInput();
     WhdStats stats;
     for (auto _ : state) {
-        MinWhdGrid grid = minWhd(input, prune, &stats);
+        MinWhdGrid grid = minWhd(input, prune, &stats, kernel);
         benchmark::DoNotOptimize(grid);
     }
     state.SetItemsProcessed(
@@ -109,12 +108,11 @@ BM_MinWhd(benchmark::State &state, WhdKernel kernel, bool prune)
 void
 BM_IrComputeWidth(benchmark::State &state, WhdKernel kernel)
 {
-    ScopedWhdKernel scope(kernel);
     MarshalledTarget target = marshalTarget(benchInput());
     const uint32_t width = static_cast<uint32_t>(state.range(0));
     uint64_t cycles = 0;
     for (auto _ : state) {
-        IrComputeResult res = irCompute(target, width, true);
+        IrComputeResult res = irCompute(target, width, true, kernel);
         cycles = res.totalCycles();
         benchmark::DoNotOptimize(res);
     }
@@ -199,9 +197,8 @@ double
 measureMinWhdRate(WhdKernel kernel, bool prune,
                   const IrTargetInput &input)
 {
-    ScopedWhdKernel scope(kernel);
     WhdStats once;
-    minWhd(input, prune, &once); // warm up + count one run's work
+    minWhd(input, prune, &once, kernel); // warm up + count the work
     const double work = static_cast<double>(once.comparisons);
 
     // Calibrate batch size to >= ~30 ms.
@@ -211,7 +208,7 @@ measureMinWhdRate(WhdKernel kernel, bool prune,
         Timer t;
         for (uint64_t i = 0; i < batch; ++i) {
             WhdStats s;
-            MinWhdGrid grid = minWhd(input, prune, &s);
+            MinWhdGrid grid = minWhd(input, prune, &s, kernel);
             benchmark::DoNotOptimize(grid);
         }
         secs = t.seconds();
@@ -224,7 +221,7 @@ measureMinWhdRate(WhdKernel kernel, bool prune,
         Timer t;
         for (uint64_t i = 0; i < batch; ++i) {
             WhdStats s;
-            MinWhdGrid grid = minWhd(input, prune, &s);
+            MinWhdGrid grid = minWhd(input, prune, &s, kernel);
             benchmark::DoNotOptimize(grid);
         }
         best = std::min(best, t.seconds());

@@ -11,9 +11,9 @@
 #include <cstdio>
 
 #include "bench_common.hh"
+#include "core/realigner_api.hh"
 #include "core/workload.hh"
 #include "realign/limits.hh"
-#include "realign/realigner.hh"
 #include "util/table.hh"
 
 using namespace iracc;
@@ -47,12 +47,13 @@ main(int argc, char **argv)
                  "ActualCmp(unpruned)"});
     SoftwareRealignerConfig cfg;
     cfg.prune = false;
-    SoftwareRealigner realigner(cfg);
+    auto realigner = makeSoftwareBackend(
+        "gatk3-unpruned", "unpruned software IR, 1 thread", cfg);
 
     uint64_t total_targets = 0;
     for (const auto &chr : wl.chromosomes) {
-        auto plan = realigner.planContig(wl.reference, chr.contig,
-                                         chr.reads);
+        ContigPlan plan = planStage(wl.reference, chr.contig,
+                                    chr.reads);
         uint64_t worst_case = 0;
         for (size_t t = 0; t < plan.targets.size(); ++t) {
             if (plan.readsPerTarget[t].empty())
@@ -63,8 +64,9 @@ main(int argc, char **argv)
             worst_case += input.worstCaseComparisons();
         }
         std::vector<Read> reads = chr.reads;
-        RealignStats stats = realigner.realignContig(
-            wl.reference, chr.contig, reads);
+        RealignStats stats =
+            realigner->realignContig(wl.reference, chr.contig, reads)
+                .stats;
         total_targets += stats.targets;
         table.addRow({"Ch" + std::to_string(chr.number),
                       std::to_string(stats.targets),

@@ -28,7 +28,8 @@ struct IrComputeScratch
 } // anonymous namespace
 
 IrComputeResult
-irCompute(const MarshalledTarget &target, uint32_t width, bool prune)
+irCompute(const MarshalledTarget &target, uint32_t width, bool prune,
+          WhdKernel kernel)
 {
     panic_if(width == 0, "data-parallel width must be >= 1");
     const uint32_t num_cons = target.numConsensuses;
@@ -69,13 +70,11 @@ irCompute(const MarshalledTarget &target, uint32_t width, bool prune)
         scratch.readLen[j] = len;
     }
 
-    const WhdKernel kernel = activeWhdKernel();
-
     IrComputeResult result;
     MinWhdGrid grid(num_cons, num_reads);
 
     // --- Stage 1: Hamming Distance Calculator ---------------------
-    // The per-pair offset sweep runs through the shared dispatch
+    // The per-pair offset sweep runs through the shared sweep
     // kernel with pruneChunk = width: the running-minimum register
     // is checked once per width-base chunk, exactly the datapath's
     // per-cycle check.  Cycle accounting is derived from the sweep:

@@ -73,9 +73,13 @@ struct IrComputeResult
  * @param target marshalled target (input buffer images)
  * @param width  data-parallel width in bases/cycle (>= 1)
  * @param prune  enable computation pruning
+ * @param kernel host sweep implementation (realign/whd_simd.hh);
+ *               outputs, counters and cycles are identical for
+ *               every kernel
  */
 IrComputeResult irCompute(const MarshalledTarget &target,
-                          uint32_t width, bool prune);
+                          uint32_t width, bool prune,
+                          WhdKernel kernel = activeWhdKernel());
 
 } // namespace iracc
 

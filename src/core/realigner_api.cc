@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "realign/whd_simd.hh"
 #include "util/logging.hh"
 
 namespace iracc {
@@ -245,6 +244,7 @@ makeBackend(const std::string &name, bool perf_counters,
         sw.prune = false;
         sw.threads = 8;
         sw.workAmplification = kJvmWorkAmplification;
+        sw.kernel = WhdKernel::Scalar;
         return makeSoftwareBackend(
             name, "GATK3-style software IR, 8 threads", sw);
     }
@@ -252,6 +252,7 @@ makeBackend(const std::string &name, bool perf_counters,
         sw.prune = false;
         sw.threads = 1;
         sw.workAmplification = kJvmWorkAmplification;
+        sw.kernel = WhdKernel::Scalar;
         return makeSoftwareBackend(
             name, "GATK3-style software IR, 1 thread", sw);
     }
@@ -259,6 +260,7 @@ makeBackend(const std::string &name, bool perf_counters,
         sw.prune = true;
         sw.threads = 8;
         sw.workAmplification = kJvmWorkAmplification;
+        sw.kernel = WhdKernel::Scalar;
         return makeSoftwareBackend(
             name, "ADAM-style optimized software IR, 8 threads", sw);
     }
@@ -310,20 +312,19 @@ differentialVariants(const std::vector<uint32_t> &job_threads)
             }
         }
     }
-    // Dispatch design points: every supported WHD kernel must be
-    // indistinguishable from the oracle.  Pinned explicitly (the
-    // base matrix runs whatever dispatch resolves ambiently, which
-    // CI steers via IRACC_KERNEL).
+    // Kernel design points: every supported WHD kernel must be
+    // indistinguishable from the oracle (the base matrix runs the
+    // default kernel).
     for (WhdKernel kernel : supportedWhdKernels()) {
         for (bool prune : {false, true}) {
             BackendVariant v;
             v.accelerated = false;
             v.prune = prune;
             v.jobThreads = 1;
-            v.kernel = whdKernelName(kernel);
+            v.kernel = kernel;
             v.label = std::string("software/prune=") +
                       (prune ? "on" : "off") +
-                      "/jobs=1/kernel=" + v.kernel;
+                      "/jobs=1/kernel=" + whdKernelName(kernel);
             out.push_back(std::move(v));
         }
     }
@@ -362,6 +363,7 @@ makeVariantBackend(const BackendVariant &variant)
         cfg.prune = variant.prune;
         cfg.threads = 2;
         cfg.workAmplification = 1.0;
+        cfg.kernel = variant.kernel;
         return makeSoftwareBackend(
             variant.label, "differential software design point",
             cfg);

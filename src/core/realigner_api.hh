@@ -6,11 +6,14 @@
  * paper's evaluation:
  *
  *   "gatk3"            GATK3-style software, 8 threads, no pruning,
- *                      JVM work model (the paper's main baseline)
+ *                      JVM work model on the scalar WHD kernel
+ *                      (the paper's main baseline)
  *   "gatk3-1t"         same, single-threaded
  *   "adam"             optimized software baseline (ADAM stand-in):
  *                      pruning enabled, 8 threads, JVM work model
- *   "native"           tuned native software: pruning, 8 threads
+ *                      on the scalar WHD kernel
+ *   "native"           tuned native software: pruning, 8 threads,
+ *                      fastest WHD kernel the CPU supports
  *   "iracc"            the full accelerated system: 32 units,
  *                      32-wide data parallel, pruning, async
  *                      scheduling (paper "IR ACC")
@@ -203,12 +206,10 @@ struct BackendVariant
     bool hardened = false;
 
     /**
-     * WHD dispatch kernel to pin for the run ("scalar" / "generic"
-     * / "avx2" -- see realign/whd_simd.hh).  Empty = leave the
-     * ambient dispatch choice alone, so IRACC_KERNEL forcing from
-     * CI still reaches the base matrix.
+     * Software only: WHD sweep implementation (realign/whd_simd.hh).
+     * Accelerated design points always run the default kernel.
      */
-    std::string kernel;
+    WhdKernel kernel = activeWhdKernel();
 
     /** Accelerated only: cards in the provisioned fleet. */
     uint32_t cards = 1;
@@ -226,9 +227,9 @@ struct BackendVariant
 
 /**
  * Enumerate the differential matrix {software, accelerated} x
- * {prune off, on} x @p job_threads, plus -- for every dispatch
- * kernel this host supports -- a software design point pair
- * (prune off/on) pinned to that kernel, plus the fleet design
+ * {prune off, on} x @p job_threads, plus -- for every WHD kernel
+ * this host supports -- a software design point pair (prune
+ * off/on) pinned to that kernel, plus the fleet design
  * points cards in {2, 4} x stealing {on, off} (any card placement
  * must be output-invisible), plus the synchronous-batch iracc-taskp
  * point.  The first entry is the oracle: the unpruned

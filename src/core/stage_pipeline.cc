@@ -16,13 +16,8 @@ SoftwareExecuteStage::execute(const PreparedContig &prepared,
     ExecuteOutcome out;
     Timer t;
 
-    SoftwareExecuteParams params;
-    params.prune = cfg.prune;
-    params.threads = cfg.threads;
-    params.workAmplification = cfg.workAmplification;
-    params.rngSeed = rng_seed;
-
-    out.decisions = executeStageSoftware(prepared, params, &out.whd);
+    out.decisions =
+        executeStageSoftware(prepared, cfg, rng_seed, &out.whd);
     out.seconds = t.seconds();
     out.simulated = false;
     return out;

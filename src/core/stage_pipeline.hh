@@ -182,6 +182,8 @@ class SoftwareExecuteStage : public ExecuteStage
     ExecuteOutcome execute(const PreparedContig &prepared,
                            uint64_t rng_seed) override;
 
+    const SoftwareRealignerConfig &config() const { return cfg; }
+
   private:
     SoftwareRealignerConfig cfg;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "realign/limits.hh"
-#include "realign/stages.hh"
 #include "util/logging.hh"
 
 namespace iracc {
@@ -119,48 +118,6 @@ applyDecision(const IrTargetInput &input,
         ++updated;
     }
     return updated;
-}
-
-SoftwareRealigner::SoftwareRealigner(SoftwareRealignerConfig config)
-    : cfg(std::move(config))
-{
-    fatal_if(cfg.threads == 0, "realigner needs >= 1 thread");
-    fatal_if(cfg.workAmplification < 1.0,
-             "work amplification must be >= 1.0");
-}
-
-SoftwareRealigner::ContigPlan
-SoftwareRealigner::planContig(const ReferenceGenome &ref,
-                              int32_t contig,
-                              const std::vector<Read> &reads) const
-{
-    return planStage(ref, contig, reads, cfg.targetParams);
-}
-
-RealignStats
-SoftwareRealigner::realignContig(const ReferenceGenome &ref,
-                                 int32_t contig,
-                                 std::vector<Read> &reads) const
-{
-    ContigPlan plan = planStage(ref, contig, reads,
-                                cfg.targetParams);
-    PreparedContig prepared = prepareStage(ref, reads, plan,
-                                           /*marshal=*/false,
-                                           cfg.threads);
-
-    SoftwareExecuteParams exec;
-    exec.prune = cfg.prune;
-    exec.threads = cfg.threads;
-    exec.workAmplification = cfg.workAmplification;
-    exec.rngSeed = cfg.rngSeed;
-
-    WhdStats whd;
-    std::vector<ConsensusDecision> decisions =
-        executeStageSoftware(prepared, exec, &whd);
-
-    RealignStats stats = applyStage(prepared, decisions, reads);
-    stats.whd = whd;
-    return stats;
 }
 
 } // namespace iracc

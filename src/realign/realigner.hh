@@ -2,11 +2,11 @@
  * @file
  * Software INDEL realigner -- the GATK3 / ADAM baseline analog.
  *
- * Orchestrates the full per-contig flow: target creation, read
- * assignment, consensus generation, the WHD kernel (Algorithm 1),
- * consensus selection (Algorithm 2), and application of the
- * realignment decisions to the read set.  A configuration flag
- * selects the paper's two software baselines:
+ * Holds the configuration of the software Execute stage
+ * (realign/stages.hh executeStageSoftware, driven per contig by
+ * core/stage_pipeline.hh) and the decision-application code that
+ * maps consensus placements back to reference alignments.  A
+ * configuration flag selects the paper's two software baselines:
  *
  *  - prune = false : faithful GATK3-style full evaluation
  *  - prune = true  : the "most optimized software" comparator
@@ -25,10 +25,8 @@
 #include <vector>
 
 #include "genomics/read.hh"
-#include "genomics/reference.hh"
 #include "realign/consensus.hh"
 #include "realign/score.hh"
-#include "realign/stages.hh"
 #include "realign/target.hh"
 #include "realign/whd.hh"
 
@@ -41,6 +39,8 @@ namespace iracc {
  * of truth for the model: backends feed it into
  * SoftwareRealignerConfig::workAmplification (documented in
  * DESIGN.md as part of the software-baseline substitution).
+ * Calibrated against the scalar WHD kernel, which is why the JVM
+ * baselines also pin SoftwareRealignerConfig::kernel to scalar.
  */
 constexpr double kJvmWorkAmplification = 1.5;
 
@@ -88,43 +88,19 @@ struct SoftwareRealignerConfig
      * relative to tuned native code; 1.0 = none (the JVM baselines
      * pass kJvmWorkAmplification).  Fractional values re-run the
      * kernel on a deterministic fraction of targets picked by
-     * per-target RNG streams (see SoftwareExecuteParams).
+     * per-target RNG streams keyed on (contig, target), so the
+     * choice -- and every statistic -- is independent of thread
+     * count and contig execution order.
      */
     double workAmplification = 1.0;
 
-    /** Seed of the per-target RNG streams (see realign/stages.hh). */
-    uint64_t rngSeed = kRealignStreamSeed;
-};
-
-/**
- * The software realignment engine: a thin composition of the
- * shared stage pipeline (realign/stages.hh) with the software
- * Execute stage.
- */
-class SoftwareRealigner
-{
-  public:
-    explicit SoftwareRealigner(SoftwareRealignerConfig config);
-
-    /** Plan-stage output (see iracc::ContigPlan). */
-    using ContigPlan = iracc::ContigPlan;
-
-    /** Build the plan for one contig (the Plan stage; no mutation). */
-    ContigPlan planContig(const ReferenceGenome &ref, int32_t contig,
-                          const std::vector<Read> &reads) const;
-
     /**
-     * Realign every target on one contig, mutating @p reads in
-     * place: Plan -> Prepare -> Execute(software) -> Apply.
+     * WHD sweep implementation.  Output-invisible (every kernel is
+     * bit-equal), but it sets the host cost: the JVM baselines pin
+     * WhdKernel::Scalar to model Java's scalar inner loop, the
+     * native backend runs the fastest kernel the CPU supports.
      */
-    RealignStats realignContig(const ReferenceGenome &ref,
-                               int32_t contig,
-                               std::vector<Read> &reads) const;
-
-    const SoftwareRealignerConfig &config() const { return cfg; }
-
-  private:
-    SoftwareRealignerConfig cfg;
+    WhdKernel kernel = activeWhdKernel();
 };
 
 } // namespace iracc

@@ -117,11 +117,11 @@ prepareStage(const ReferenceGenome &ref,
 
 std::vector<ConsensusDecision>
 executeStageSoftware(const PreparedContig &prepared,
-                     const SoftwareExecuteParams &params,
-                     WhdStats *whd)
+                     const SoftwareRealignerConfig &cfg,
+                     uint64_t rng_seed, WhdStats *whd)
 {
-    panic_if(params.threads == 0, "execute stage needs >= 1 thread");
-    panic_if(params.workAmplification < 1.0,
+    panic_if(cfg.threads == 0, "execute stage needs >= 1 thread");
+    panic_if(cfg.workAmplification < 1.0,
              "work amplification must be >= 1.0");
 
     const size_t n = prepared.inputs.size();
@@ -130,7 +130,8 @@ executeStageSoftware(const PreparedContig &prepared,
 
     auto execute_one = [&](size_t t) {
         const IrTargetInput &input = prepared.inputs[t];
-        MinWhdGrid grid = minWhd(input, params.prune, &local[t]);
+        MinWhdGrid grid =
+            minWhd(input, cfg.prune, &local[t], cfg.kernel);
         // Model heavier per-comparison cost of the JVM/Spark
         // baselines by redoing the kernel; results are identical.
         // Fractional amplification re-runs a subset picked by the
@@ -138,12 +139,11 @@ executeStageSoftware(const PreparedContig &prepared,
         // the subset -- and every derived statistic -- does not
         // depend on thread count or contig execution order.
         uint32_t reps =
-            static_cast<uint32_t>(params.workAmplification);
-        double frac = params.workAmplification - reps;
+            static_cast<uint32_t>(cfg.workAmplification);
+        double frac = cfg.workAmplification - reps;
         if (frac > 0.0) {
             Rng stream = Rng::stream(
-                params.rngSeed,
-                static_cast<uint64_t>(prepared.contig), t);
+                rng_seed, static_cast<uint64_t>(prepared.contig), t);
             if (stream.chance(frac))
                 ++reps;
         }
@@ -154,7 +154,8 @@ executeStageSoftware(const PreparedContig &prepared,
             thread_local MinWhdGrid again(0, 0);
             for (uint32_t extra = 1; extra < reps; ++extra) {
                 WhdStats scratch;
-                minWhdInto(input, params.prune, &scratch, again);
+                minWhdInto(input, cfg.prune, &scratch, again,
+                           cfg.kernel);
                 panic_if(!(again == grid),
                          "WHD kernel is non-deterministic");
             }
@@ -162,11 +163,11 @@ executeStageSoftware(const PreparedContig &prepared,
         decisions[t] = scoreAndSelect(grid);
     };
 
-    if (params.threads == 1 || n < 2) {
+    if (cfg.threads == 1 || n < 2) {
         for (size_t t = 0; t < n; ++t)
             execute_one(t);
     } else {
-        ThreadPool pool(params.threads);
+        ThreadPool pool(cfg.threads);
         pool.parallelFor(n, execute_one);
     }
 

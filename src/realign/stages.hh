@@ -100,41 +100,25 @@ PreparedContig prepareStage(const ReferenceGenome &ref,
                             const ContigPlan &plan, bool marshal,
                             uint32_t threads = 1);
 
-/** Parameters of the software Execute stage (the WHD kernel). */
-struct SoftwareExecuteParams
-{
-    /** Enable computation pruning in the WHD kernel. */
-    bool prune = false;
-
-    /** Worker threads (1 = fully serial). */
-    uint32_t threads = 1;
-
-    /** JVM work-model multiplier (see SoftwareRealignerConfig). */
-    double workAmplification = 1.0;
-
-    /**
-     * Seed of the per-target RNG streams that pick which targets
-     * the fractional work amplification re-runs.  Streams are
-     * derived per (contig, target index), so the choice -- and
-     * with it every statistic -- is identical regardless of
-     * thread count and of whether contigs run serially or inside
-     * a parallel RealignJob.
-     */
-    uint64_t rngSeed = kRealignStreamSeed;
-};
+struct SoftwareRealignerConfig; // realign/realigner.hh
 
 /**
  * Software Execute stage: run the WHD kernel (Algorithm 1) and
  * consensus selection (Algorithm 2) over every prepared target.
  *
+ * @param cfg      pruning, worker threads, JVM work model and WHD
+ *                 kernel of the software baseline
+ * @param rng_seed base seed of the per-target RNG streams that pick
+ *                 which targets fractional work amplification
+ *                 re-runs (streams are keyed on (contig, target))
  * @param whd optional accumulator for kernel work counters;
  *        merged in target order, so the totals are independent of
  *        the thread count.
  * @return one decision per prepared input, index-aligned
  */
 std::vector<ConsensusDecision> executeStageSoftware(
-    const PreparedContig &prepared,
-    const SoftwareExecuteParams &params, WhdStats *whd = nullptr);
+    const PreparedContig &prepared, const SoftwareRealignerConfig &cfg,
+    uint64_t rng_seed, WhdStats *whd = nullptr);
 
 /** Aggregate statistics from realigning one or more contigs. */
 struct RealignStats

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "realign/whd_simd.hh"
 #include "util/logging.hh"
 
 namespace iracc {
@@ -76,13 +75,12 @@ struct ConsensusBatch
 
 void
 minWhdInto(const IrTargetInput &input, bool prune, WhdStats *stats,
-           MinWhdGrid &grid)
+           MinWhdGrid &grid, WhdKernel kernel)
 {
     const size_t num_cons = input.numConsensuses();
     const size_t num_reads = input.numReads();
     grid.reset(num_cons, num_reads);
 
-    const WhdKernel kernel = activeWhdKernel();
     thread_local ConsensusBatch batch;
     batch.load(input);
 
@@ -121,10 +119,11 @@ minWhdInto(const IrTargetInput &input, bool prune, WhdStats *stats,
 }
 
 MinWhdGrid
-minWhd(const IrTargetInput &input, bool prune, WhdStats *stats)
+minWhd(const IrTargetInput &input, bool prune, WhdStats *stats,
+       WhdKernel kernel)
 {
     MinWhdGrid grid(input.numConsensuses(), input.numReads());
-    minWhdInto(input, prune, stats, grid);
+    minWhdInto(input, prune, stats, grid, kernel);
     return grid;
 }
 

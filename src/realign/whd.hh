@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "realign/consensus.hh"
+#include "realign/whd_simd.hh"
 
 namespace iracc {
 
@@ -156,17 +157,20 @@ uint32_t calcWhd(const BaseSeq &cons, const BaseSeq &read,
  * @param input   assembled target input
  * @param prune   enable computation pruning
  * @param stats   optional work counters (may be null)
+ * @param kernel  sweep implementation (realign/whd_simd.hh); the
+ *                grid and counters are identical for every kernel
  */
 MinWhdGrid minWhd(const IrTargetInput &input, bool prune,
-                  WhdStats *stats = nullptr);
+                  WhdStats *stats = nullptr,
+                  WhdKernel kernel = activeWhdKernel());
 
 /**
  * Allocation-free variant of minWhd(): fills @p grid (reset to the
- * target's shape) instead of returning a fresh one.  Runs through
- * the active dispatch kernel (realign/whd_simd.hh) like minWhd.
+ * target's shape) instead of returning a fresh one.
  */
 void minWhdInto(const IrTargetInput &input, bool prune,
-                WhdStats *stats, MinWhdGrid &grid);
+                WhdStats *stats, MinWhdGrid &grid,
+                WhdKernel kernel = activeWhdKernel());
 
 } // namespace iracc
 

@@ -1,8 +1,5 @@
 #include "realign/whd_simd.hh"
 
-#include <atomic>
-#include <cstdlib>
-
 #include "realign/whd.hh"
 #include "util/logging.hh"
 
@@ -301,28 +298,6 @@ fillUnprunedCounters(WhdSweepResult &r, size_t m, size_t n,
                       : offsets * ((n + pruneChunk - 1) / pruneChunk);
 }
 
-std::atomic<int> activeKernel{-1};
-
-WhdKernel
-resolveActiveKernel()
-{
-    const char *env = std::getenv("IRACC_KERNEL");
-    if (env == nullptr || *env == '\0')
-        return bestSupportedWhdKernel();
-    WhdKernel k;
-    if (!parseWhdKernel(env, &k)) {
-        fatal("IRACC_KERNEL='%s' is not a WHD kernel "
-              "(scalar|generic|avx2)", env);
-    }
-    if (!whdKernelSupported(k)) {
-        fatal("IRACC_KERNEL=%s is not supported here (%s)",
-              whdKernelName(k),
-              whdKernelCompiled(k) ? "CPU lacks the instruction set"
-                                   : "not compiled into this binary");
-    }
-    return k;
-}
-
 } // anonymous namespace
 
 const char *
@@ -340,36 +315,8 @@ whdKernelName(WhdKernel kernel)
 }
 
 bool
-parseWhdKernel(const std::string &name, WhdKernel *out)
-{
-    for (WhdKernel k : {WhdKernel::Scalar, WhdKernel::Generic,
-                        WhdKernel::Avx2}) {
-        if (name == whdKernelName(k)) {
-            *out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-whdKernelCompiled(WhdKernel kernel)
-{
-    switch (kernel) {
-      case WhdKernel::Scalar:
-      case WhdKernel::Generic:
-        return true;
-      case WhdKernel::Avx2:
-        return IRACC_WHD_HAVE_AVX2 != 0;
-    }
-    return false;
-}
-
-bool
 whdKernelSupported(WhdKernel kernel)
 {
-    if (!whdKernelCompiled(kernel))
-        return false;
     return kernel != WhdKernel::Avx2 || cpuHasAvx2();
 }
 
@@ -386,32 +333,11 @@ supportedWhdKernels()
 }
 
 WhdKernel
-bestSupportedWhdKernel()
-{
-    return whdKernelSupported(WhdKernel::Avx2) ? WhdKernel::Avx2
-                                               : WhdKernel::Generic;
-}
-
-WhdKernel
 activeWhdKernel()
 {
-    int v = activeKernel.load(std::memory_order_relaxed);
-    if (v < 0) {
-        // Benign race: every thread resolves the same value.
-        v = static_cast<int>(resolveActiveKernel());
-        activeKernel.store(v, std::memory_order_relaxed);
-    }
-    return static_cast<WhdKernel>(v);
-}
-
-void
-setWhdKernel(WhdKernel kernel)
-{
-    if (!whdKernelSupported(kernel))
-        fatal("WHD kernel %s is not supported on this host",
-              whdKernelName(kernel));
-    activeKernel.store(static_cast<int>(kernel),
-                       std::memory_order_relaxed);
+    static const WhdKernel best = cpuHasAvx2() ? WhdKernel::Avx2
+                                               : WhdKernel::Generic;
+    return best;
 }
 
 WhdSweepResult

@@ -31,10 +31,11 @@
  * The differential harness (src/testing) and tests/whd_test.cc
  * referee the equality.
  *
- * Dispatch: the process-wide active kernel is resolved once from
- * the IRACC_KERNEL environment variable (scalar|generic|avx2) or,
- * unset, the best CPU-supported implementation.  Tests and benches
- * override it with setWhdKernel()/ScopedWhdKernel.
+ * Dispatch: the kernel is a value every caller passes in
+ * (minWhd, irCompute, SoftwareRealignerConfig::kernel) and defaults
+ * to activeWhdKernel(), the fastest implementation this CPU runs.
+ * The JVM software baselines pin scalar; tests and benches sweep
+ * supportedWhdKernels().
  */
 
 #ifndef IRACC_REALIGN_WHD_SIMD_HH
@@ -42,7 +43,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 /**
@@ -87,54 +87,17 @@ constexpr size_t kWhdGenericPruneBlock = 8;
 /** Registry name of a kernel ("scalar" / "generic" / "avx2"). */
 const char *whdKernelName(WhdKernel kernel);
 
-/**
- * Parse a kernel name (the IRACC_KERNEL vocabulary).
- * @return false when @p name is not a known kernel.
- */
-bool parseWhdKernel(const std::string &name, WhdKernel *out);
-
-/** @return true when @p kernel was compiled into this binary. */
-bool whdKernelCompiled(WhdKernel kernel);
-
 /** @return true when @p kernel is compiled in AND this CPU runs it. */
 bool whdKernelSupported(WhdKernel kernel);
 
 /** Every supported kernel, scalar first (test/bench sweep order). */
 std::vector<WhdKernel> supportedWhdKernels();
 
-/** The fastest supported kernel (what dispatch picks by default). */
-WhdKernel bestSupportedWhdKernel();
-
 /**
- * The active kernel: resolved once per process from IRACC_KERNEL
- * (fatal() on unknown or unsupported names) or
- * bestSupportedWhdKernel() when unset.
+ * The default kernel: the fastest one this CPU supports.  A pure
+ * function of the host -- there is no process-wide override.
  */
 WhdKernel activeWhdKernel();
-
-/**
- * Override the active kernel (process-wide; fatal() when
- * unsupported).  Call from a single thread before kernel work
- * starts -- tests and benches sweeping design points.
- */
-void setWhdKernel(WhdKernel kernel);
-
-/** RAII kernel override that restores the previous choice. */
-class ScopedWhdKernel
-{
-  public:
-    explicit ScopedWhdKernel(WhdKernel kernel)
-        : previous(activeWhdKernel())
-    {
-        setWhdKernel(kernel);
-    }
-    ~ScopedWhdKernel() { setWhdKernel(previous); }
-    ScopedWhdKernel(const ScopedWhdKernel &) = delete;
-    ScopedWhdKernel &operator=(const ScopedWhdKernel &) = delete;
-
-  private:
-    WhdKernel previous;
-};
 
 /**
  * Result of sweeping every offset of one (consensus, read) pair.

@@ -17,7 +17,7 @@
 #include "genomics/read.hh"
 #include "genomics/reference.hh"
 #include "genomics/variant.hh"
-#include "realign/realigner.hh"
+#include "realign/stages.hh"
 
 namespace iracc {
 

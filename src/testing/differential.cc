@@ -115,16 +115,6 @@ PipelineOutcome
 runVariant(const BackendVariant &variant, const ReferenceGenome &ref,
            std::vector<Read> reads)
 {
-    if (!variant.kernel.empty()) {
-        WhdKernel kernel;
-        panic_if(!parseWhdKernel(variant.kernel, &kernel),
-                 "variant '%s' names unknown WHD kernel '%s'",
-                 variant.label.c_str(), variant.kernel.c_str());
-        ScopedWhdKernel scope(kernel);
-        return runBackendPipeline(makeVariantBackend(variant),
-                                  variant.jobThreads, ref,
-                                  std::move(reads));
-    }
     return runBackendPipeline(makeVariantBackend(variant),
                               variant.jobThreads, ref,
                               std::move(reads));
@@ -248,10 +238,13 @@ runBackendPipeline(std::unique_ptr<const RealignerBackend> backend,
 DiffResult
 diffKernelInput(const IrTargetInput &input)
 {
-    // Software kernel: pruning must not change the grid.
+    // Software kernel: pruning must not change the grid.  The
+    // scalar kernel is the reference every other kernel must match.
     WhdStats stats_noprune, stats_prune;
-    MinWhdGrid grid = minWhd(input, false, &stats_noprune);
-    MinWhdGrid grid_pruned = minWhd(input, true, &stats_prune);
+    MinWhdGrid grid =
+        minWhd(input, false, &stats_noprune, WhdKernel::Scalar);
+    MinWhdGrid grid_pruned =
+        minWhd(input, true, &stats_prune, WhdKernel::Scalar);
     if (!(grid == grid_pruned)) {
         return DiffResult::fail("software/prune=on",
                                 "pruned min-WHD grid diverges from "
@@ -271,30 +264,31 @@ diffKernelInput(const IrTargetInput &input)
             fmt("counter invariant violated: %s",
                 statsString(stats_prune).c_str()));
 
-    // Dispatch sweep: every supported WHD kernel implementation
-    // must reproduce the ambient kernel's grids AND work counters
-    // bit for bit, pruned and unpruned.
+    // Kernel sweep: every other supported WHD kernel implementation
+    // must reproduce the scalar kernel's grids AND work counters bit
+    // for bit, pruned and unpruned.
     for (WhdKernel kernel : supportedWhdKernels()) {
-        ScopedWhdKernel scope(kernel);
+        if (kernel == WhdKernel::Scalar)
+            continue;
         for (bool prune : {false, true}) {
             std::string label =
                 fmt("software/kernel=%s/prune=%s",
                     whdKernelName(kernel), prune ? "on" : "off");
             WhdStats stats;
-            MinWhdGrid got = minWhd(input, prune, &stats);
+            MinWhdGrid got = minWhd(input, prune, &stats, kernel);
             const MinWhdGrid &want_grid =
                 prune ? grid_pruned : grid;
             const WhdStats &want_stats =
                 prune ? stats_prune : stats_noprune;
             if (!(got == want_grid)) {
                 return DiffResult::fail(
-                    label, "min-WHD grid diverges from the ambient "
-                           "dispatch kernel");
+                    label, "min-WHD grid diverges from the scalar "
+                           "kernel");
             }
             if (!statsEqual(stats, want_stats)) {
                 return DiffResult::fail(
                     label,
-                    fmt("WhdStats diverge: %s vs ambient %s",
+                    fmt("WhdStats diverge: %s vs scalar %s",
                         statsString(stats).c_str(),
                         statsString(want_stats).c_str()));
             }
@@ -348,7 +342,8 @@ diffKernelInput(const IrTargetInput &input)
         for (bool prune : {false, true}) {
             std::string label = fmt("accelerated/width=%u/prune=%s",
                                     width, prune ? "on" : "off");
-            IrComputeResult hw = irCompute(marshalled, width, prune);
+            IrComputeResult hw = irCompute(marshalled, width, prune,
+                                           WhdKernel::Scalar);
             if (hw.bestConsensus != want.bestConsensus) {
                 return DiffResult::fail(
                     label, fmt("picked consensus %u, software "
@@ -376,13 +371,14 @@ diffKernelInput(const IrTargetInput &input)
                             j, hw.output.newPositions[j], sw_pos));
                 }
             }
-            // Dispatch sweep on the datapath model: every kernel
+            // Kernel sweep on the datapath model: every kernel
             // must agree on outputs, work counters, and the cycle
             // model (hdcCycles folds in the executed chunk count).
             for (WhdKernel kernel : supportedWhdKernels()) {
-                ScopedWhdKernel scope(kernel);
+                if (kernel == WhdKernel::Scalar)
+                    continue;
                 IrComputeResult kk =
-                    irCompute(marshalled, width, prune);
+                    irCompute(marshalled, width, prune, kernel);
                 if (kk.bestConsensus != hw.bestConsensus ||
                     kk.output.realignFlags !=
                         hw.output.realignFlags ||
@@ -394,8 +390,8 @@ diffKernelInput(const IrTargetInput &input)
                     return DiffResult::fail(
                         fmt("%s/kernel=%s", label.c_str(),
                             whdKernelName(kernel)),
-                        "datapath results diverge across dispatch "
-                        "kernels");
+                        "datapath results diverge from the scalar "
+                        "kernel");
                 }
             }
             // At scalar width the datapath's prune granularity is
@@ -807,17 +803,7 @@ diffStreamingIngest(const ReferenceGenome &ref,
     const std::string input_sam = input.str();
 
     for (const BackendVariant &variant : variants) {
-        DiffResult r;
-        if (!variant.kernel.empty()) {
-            WhdKernel kernel;
-            panic_if(!parseWhdKernel(variant.kernel, &kernel),
-                     "variant '%s' names unknown WHD kernel '%s'",
-                     variant.label.c_str(), variant.kernel.c_str());
-            ScopedWhdKernel scope(kernel);
-            r = diffStreamingVariant(variant, ref, input_sam);
-        } else {
-            r = diffStreamingVariant(variant, ref, input_sam);
-        }
+        DiffResult r = diffStreamingVariant(variant, ref, input_sam);
         if (!r.ok)
             return r;
     }

@@ -15,6 +15,9 @@
  *     (picked consensus, realign flags, new positions);
  *   - at scalar width the datapath's WhdStats equal the software
  *     kernel's bit for bit;
+ *   - every supported WHD kernel (realign/whd_simd.hh) reproduces
+ *     the scalar kernel's grids, counters, datapath outputs and
+ *     cycles, in minWhd and in irCompute;
  *   - inputs that violate the architectural limits are rejected
  *     with a clean limitViolation() diagnostic (never marshalled).
  *

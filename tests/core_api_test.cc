@@ -76,6 +76,24 @@ TEST(Backends, RegistryRoundTrip)
     }
 }
 
+TEST(Backends, JvmBaselinesPinScalarKernel)
+{
+    // kJvmWorkAmplification is calibrated against the scalar WHD
+    // kernel, so the JVM baselines must model Java's scalar inner
+    // loop; only the native backend runs the fastest kernel.
+    const std::pair<const char *, WhdKernel> want[] = {
+        {"gatk3", WhdKernel::Scalar},
+        {"gatk3-1t", WhdKernel::Scalar},
+        {"adam", WhdKernel::Scalar},
+        {"native", activeWhdKernel()}};
+    for (const auto &[name, kernel] : want) {
+        auto stage = makeBackend(name)->makeExecuteStage();
+        auto *sw = dynamic_cast<SoftwareExecuteStage *>(stage.get());
+        ASSERT_NE(sw, nullptr) << name;
+        EXPECT_EQ(sw->config().kernel, kernel) << name;
+    }
+}
+
 TEST(Backends, UnknownNameIsFatal)
 {
     EXPECT_DEATH(makeBackend("gatk5"), "unknown realigner backend");

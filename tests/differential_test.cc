@@ -14,7 +14,7 @@
 
 #include <sstream>
 
-#include "realign/whd_simd.hh"
+#include "realign/stages.hh"
 #include "testing/corpus.hh"
 #include "testing/differential.hh"
 #include "testing/workload_gen.hh"
@@ -240,17 +240,30 @@ TEST(Differential, CorpusReplay)
         difftest::listCorpus(IRACC_CORPUS_DIR);
     ASSERT_FALSE(files.empty())
         << "no corpus cases under " << IRACC_CORPUS_DIR;
-    // Every corpus case replays under every supported dispatch
-    // kernel: a workload that once exposed a divergence is exactly
-    // the workload a vectorized sweep must not re-break.
-    for (WhdKernel kernel : supportedWhdKernels()) {
-        ScopedWhdKernel scope(kernel);
-        for (const std::string &path : files) {
-            ReproCase repro = difftest::loadReproCase(path);
-            DiffResult r = difftest::replayReproCase(repro);
-            EXPECT_TRUE(r.ok)
-                << path << " [kernel=" << whdKernelName(kernel)
-                << "]: [" << r.variant << "] " << r.detail;
+    for (const std::string &path : files) {
+        ReproCase repro = difftest::loadReproCase(path);
+        DiffResult r = difftest::replayReproCase(repro);
+        EXPECT_TRUE(r.ok)
+            << path << ": [" << r.variant << "] " << r.detail;
+        if (repro.kind == "kernel")
+            continue;
+        // Accelerated design points run the default WHD kernel
+        // only; the kernel differential sweeps every supported
+        // kernel through irCompute, so each prepared target of a
+        // genome case is also replayed there.
+        const ReferenceGenome &ref = repro.reference;
+        for (size_t c = 0; c < ref.numContigs(); ++c) {
+            ContigPlan plan = planStage(
+                ref, static_cast<int32_t>(c), repro.reads);
+            PreparedContig prepared = prepareStage(
+                ref, repro.reads, plan, /*marshal=*/false);
+            for (size_t t = 0; t < prepared.inputs.size(); ++t) {
+                DiffResult k =
+                    difftest::diffKernelInput(prepared.inputs[t]);
+                EXPECT_TRUE(k.ok)
+                    << path << " contig " << c << " target " << t
+                    << ": [" << k.variant << "] " << k.detail;
+            }
         }
     }
 }

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "accel/ir_compute.hh"
+#include "core/realigner_api.hh"
 #include "genomics/io.hh"
 #include "realign/limits.hh"
 #include "realign/realigner.hh"
@@ -353,8 +354,10 @@ TEST(RealignerEdge, ContigWithoutIndelsIsANoOp)
         reads.push_back(r);
     }
     auto before = reads;
-    SoftwareRealigner realigner{SoftwareRealignerConfig{}};
-    RealignStats stats = realigner.realignContig(ref, 0, reads);
+    RealignStats stats =
+        makeSoftwareBackend("sw", "", SoftwareRealignerConfig{})
+            ->realignContig(ref, 0, reads)
+            .stats;
     EXPECT_EQ(stats.targets, 0u);
     EXPECT_EQ(stats.readsRealigned, 0u);
     for (size_t i = 0; i < reads.size(); ++i)

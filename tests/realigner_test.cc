@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/realigner_api.hh"
 #include "core/workload.hh"
-#include "realign/realigner.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -162,9 +162,10 @@ TEST(SoftwareRealigner, MovesMisalignedReadsToTruth)
 
     SoftwareRealignerConfig cfg;
     cfg.prune = true;
-    SoftwareRealigner realigner(cfg);
-    RealignStats stats = realigner.realignContig(wl.reference,
-                                                 chr.contig, reads);
+    RealignStats stats = makeSoftwareBackend("sw", "", cfg)
+                             ->realignContig(wl.reference,
+                                             chr.contig, reads)
+                             .stats;
 
     ASSERT_GT(stats.targets, 5u);
     EXPECT_GT(stats.readsRealigned, 0u);
@@ -206,10 +207,14 @@ TEST(SoftwareRealigner, ThreadCountInvariant)
     SoftwareRealignerConfig cfg8;
     cfg8.threads = 8;
 
-    RealignStats s1 = SoftwareRealigner(cfg1).realignContig(
-        wl.reference, chr.contig, serial);
-    RealignStats s8 = SoftwareRealigner(cfg8).realignContig(
-        wl.reference, chr.contig, parallel);
+    RealignStats s1 = makeSoftwareBackend("sw1", "", cfg1)
+                          ->realignContig(wl.reference, chr.contig,
+                                          serial)
+                          .stats;
+    RealignStats s8 = makeSoftwareBackend("sw8", "", cfg8)
+                          ->realignContig(wl.reference, chr.contig,
+                                          parallel)
+                          .stats;
 
     EXPECT_EQ(s1.targets, s8.targets);
     EXPECT_EQ(s1.readsRealigned, s8.readsRealigned);
@@ -235,10 +240,14 @@ TEST(SoftwareRealigner, PruningDoesNotChangeResults)
     SoftwareRealignerConfig b;
     b.prune = true;
 
-    RealignStats sa = SoftwareRealigner(a).realignContig(
-        wl.reference, chr.contig, no_prune);
-    RealignStats sb = SoftwareRealigner(b).realignContig(
-        wl.reference, chr.contig, pruned);
+    RealignStats sa = makeSoftwareBackend("a", "", a)
+                          ->realignContig(wl.reference, chr.contig,
+                                          no_prune)
+                          .stats;
+    RealignStats sb = makeSoftwareBackend("b", "", b)
+                          ->realignContig(wl.reference, chr.contig,
+                                          pruned)
+                          .stats;
 
     EXPECT_EQ(sa.readsRealigned, sb.readsRealigned);
     for (size_t i = 0; i < no_prune.size(); ++i)
@@ -253,9 +262,7 @@ TEST(SoftwareRealigner, PlanClaimsEachReadOnce)
     setQuiet(true);
     GenomeWorkload wl = buildWorkload(testWorkload());
     const ChromosomeWorkload &chr = wl.chromosomes[0];
-    SoftwareRealigner realigner(SoftwareRealignerConfig{});
-    auto plan = realigner.planContig(wl.reference, chr.contig,
-                                     chr.reads);
+    ContigPlan plan = planStage(wl.reference, chr.contig, chr.reads);
     std::vector<int> claims(chr.reads.size(), 0);
     for (const auto &list : plan.readsPerTarget)
         for (uint32_t i : list)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/realigner_api.hh"
 #include "core/workload.hh"
 #include "refine/bqsr.hh"
 #include "refine/duplicate_marker.hh"
@@ -246,7 +247,9 @@ TEST(Pipeline, RunsAllStagesAndTimesThem)
                             std::vector<Read> &rs) {
         SoftwareRealignerConfig cfg;
         cfg.prune = true;
-        return SoftwareRealigner(cfg).realignContig(ref, contig, rs);
+        return makeSoftwareBackend("sw", "", cfg)
+            ->realignContig(ref, contig, rs)
+            .stats;
     };
 
     RefineResult res = runRefinementPipeline(

@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/realigner_api.hh"
 #include "core/workload.hh"
-#include "realign/realigner.hh"
 #include "util/logging.hh"
 #include "variant/somatic.hh"
 
@@ -196,10 +196,10 @@ TEST(SomaticEndToEnd, RealignmentImprovesSomaticIndelRecall)
     std::vector<Read> normal = chr.normalReads;
     SoftwareRealignerConfig cfg;
     cfg.prune = true;
-    SoftwareRealigner(cfg).realignContig(wl.reference, chr.contig,
-                                         tumor);
-    SoftwareRealigner(cfg).realignContig(wl.reference, chr.contig,
-                                         normal);
+    makeSoftwareBackend("sw", "", cfg)
+        ->realignContig(wl.reference, chr.contig, tumor);
+    makeSoftwareBackend("sw", "", cfg)
+        ->realignContig(wl.reference, chr.contig, normal);
     auto after = callSomaticVariants(wl.reference, tumor, normal,
                                      chr.contig, 0, len, sp);
     CallAccuracy acc_after = scoreSomaticCalls(after, chr.truth,

@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/realigner_api.hh"
 #include "core/workload.hh"
-#include "realign/realigner.hh"
 #include "util/logging.hh"
 #include "variant/caller.hh"
 
@@ -159,8 +159,8 @@ TEST(EndToEnd, RealignmentImprovesIndelCalling)
     std::vector<Read> reads = chr.reads;
     SoftwareRealignerConfig cfg;
     cfg.prune = true;
-    SoftwareRealigner(cfg).realignContig(wl.reference, chr.contig,
-                                         reads);
+    makeSoftwareBackend("sw", "", cfg)
+        ->realignContig(wl.reference, chr.contig, reads);
     auto after_calls = callVariants(wl.reference, reads, chr.contig,
                                     0, len, cp);
     CallAccuracy after = scoreCalls(after_calls, chr.truth, true);

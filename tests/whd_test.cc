@@ -409,20 +409,18 @@ TEST(DispatchSweep, MinWhdGridAndStatsMatchScalarKernel)
         MarshalledTarget marshalled = marshalTarget(input);
 
         for (bool prune : {false, true}) {
-            ScopedWhdKernel pin(WhdKernel::Scalar);
             WhdStats want_stats;
-            const MinWhdGrid want =
-                minWhd(input, prune, &want_stats);
+            const MinWhdGrid want = minWhd(input, prune, &want_stats,
+                                           WhdKernel::Scalar);
             std::vector<IrComputeResult> want_hw;
             for (uint32_t width : {1u, 8u, 32u})
-                want_hw.push_back(
-                    irCompute(marshalled, width, prune));
+                want_hw.push_back(irCompute(marshalled, width, prune,
+                                            WhdKernel::Scalar));
 
             for (WhdKernel kernel : supportedWhdKernels()) {
-                ScopedWhdKernel scope(kernel);
                 WhdStats got_stats;
                 const MinWhdGrid got =
-                    minWhd(input, prune, &got_stats);
+                    minWhd(input, prune, &got_stats, kernel);
                 EXPECT_TRUE(got == want)
                     << "trial " << trial << " kernel "
                     << whdKernelName(kernel) << " prune " << prune;
@@ -438,7 +436,7 @@ TEST(DispatchSweep, MinWhdGridAndStatsMatchScalarKernel)
                 size_t w = 0;
                 for (uint32_t width : {1u, 8u, 32u}) {
                     const IrComputeResult hw =
-                        irCompute(marshalled, width, prune);
+                        irCompute(marshalled, width, prune, kernel);
                     const IrComputeResult &ref = want_hw[w++];
                     EXPECT_EQ(hw.whd.comparisons,
                               ref.whd.comparisons)
