@@ -91,10 +91,14 @@ BM_CalcWhd(benchmark::State &state)
 }
 BENCHMARK(BM_CalcWhd);
 
+/** Read length of the indel-dense workload. */
+constexpr size_t kLongReadLen = 150;
+
 void
-BM_MinWhd(benchmark::State &state, WhdKernel kernel, bool prune)
+BM_MinWhd(benchmark::State &state, WhdKernel kernel, bool prune,
+          size_t read_len)
 {
-    IrTargetInput input = benchInput();
+    IrTargetInput input = benchInput(4, 48, 400, read_len);
     WhdStats stats;
     for (auto _ : state) {
         MinWhdGrid grid = minWhd(input, prune, &stats, kernel);
@@ -106,9 +110,11 @@ BM_MinWhd(benchmark::State &state, WhdKernel kernel, bool prune)
 }
 
 void
-BM_IrComputeWidth(benchmark::State &state, WhdKernel kernel)
+BM_IrComputeWidth(benchmark::State &state, WhdKernel kernel,
+                  size_t read_len)
 {
-    MarshalledTarget target = marshalTarget(benchInput());
+    MarshalledTarget target =
+        marshalTarget(benchInput(4, 48, 400, read_len));
     const uint32_t width = static_cast<uint32_t>(state.range(0));
     uint64_t cycles = 0;
     for (auto _ : state) {
@@ -158,7 +164,11 @@ BM_SmithWaterman(benchmark::State &state)
 }
 BENCHMARK(BM_SmithWaterman);
 
-/** Register the per-dispatch-variant benchmarks. */
+/**
+ * Register the per-dispatch-variant benchmarks: every shape on the
+ * default 100 bp input, and the pruned software sweep plus the
+ * width-32 datapath on 150 bp reads ("/150bp").
+ */
 void
 registerDispatchBenchmarks()
 {
@@ -170,17 +180,28 @@ registerDispatchBenchmarks()
             benchmark::RegisterBenchmark(
                 name.c_str(),
                 [kernel, prune](benchmark::State &st) {
-                    BM_MinWhd(st, kernel, prune);
+                    BM_MinWhd(st, kernel, prune, 100);
                 });
         }
         std::string name = "BM_IrComputeWidth/" + kname;
         benchmark::RegisterBenchmark(
             name.c_str(),
             [kernel](benchmark::State &st) {
-                BM_IrComputeWidth(st, kernel);
+                BM_IrComputeWidth(st, kernel, 100);
             })
             ->Arg(1)
             ->Arg(8)
+            ->Arg(32);
+        name = "BM_MinWhd/" + kname + "/pruned/150bp";
+        benchmark::RegisterBenchmark(
+            name.c_str(), [kernel](benchmark::State &st) {
+                BM_MinWhd(st, kernel, true, kLongReadLen);
+            });
+        name = "BM_IrComputeWidth/" + kname + "/150bp";
+        benchmark::RegisterBenchmark(
+            name.c_str(), [kernel](benchmark::State &st) {
+                BM_IrComputeWidth(st, kernel, kLongReadLen);
+            })
             ->Arg(32);
     }
 }
@@ -188,29 +209,23 @@ registerDispatchBenchmarks()
 // ---- Self-timed iracc-bench-v1 section -------------------------
 
 /**
- * comparisons/second of minWhd on the default workload: run
- * batches until the measurement window is long enough to trust,
- * then take the best of a few repeats (the repeat least disturbed
- * by the machine).
+ * @p work units per second of @p run: run batches until the
+ * measurement window is long enough to trust, then take the best of
+ * a few repeats (the repeat least disturbed by the machine).
  */
+template <typename Fn>
 double
-measureMinWhdRate(WhdKernel kernel, bool prune,
-                  const IrTargetInput &input)
+measureRate(double work, Fn &&run)
 {
-    WhdStats once;
-    minWhd(input, prune, &once, kernel); // warm up + count the work
-    const double work = static_cast<double>(once.comparisons);
+    run(); // warm up
 
     // Calibrate batch size to >= ~30 ms.
     uint64_t batch = 1;
     double secs = 0.0;
     for (;;) {
         Timer t;
-        for (uint64_t i = 0; i < batch; ++i) {
-            WhdStats s;
-            MinWhdGrid grid = minWhd(input, prune, &s, kernel);
-            benchmark::DoNotOptimize(grid);
-        }
+        for (uint64_t i = 0; i < batch; ++i)
+            run();
         secs = t.seconds();
         if (secs >= 0.03 || batch > (1ull << 24))
             break;
@@ -219,14 +234,40 @@ measureMinWhdRate(WhdKernel kernel, bool prune,
     double best = secs;
     for (int rep = 0; rep < 2; ++rep) {
         Timer t;
-        for (uint64_t i = 0; i < batch; ++i) {
-            WhdStats s;
-            MinWhdGrid grid = minWhd(input, prune, &s, kernel);
-            benchmark::DoNotOptimize(grid);
-        }
+        for (uint64_t i = 0; i < batch; ++i)
+            run();
         best = std::min(best, t.seconds());
     }
     return work * static_cast<double>(batch) / best;
+}
+
+/** comparisons/second of minWhd on @p input. */
+double
+measureMinWhdRate(WhdKernel kernel, bool prune,
+                  const IrTargetInput &input)
+{
+    WhdStats once;
+    minWhd(input, prune, &once, kernel); // count the work
+    return measureRate(static_cast<double>(once.comparisons), [&] {
+        WhdStats s;
+        MinWhdGrid grid = minWhd(input, prune, &s, kernel);
+        benchmark::DoNotOptimize(grid);
+    });
+}
+
+/** comparisons/second of the pruned datapath model at @p width. */
+double
+measureIrComputeRate(WhdKernel kernel, uint32_t width,
+                     const MarshalledTarget &target)
+{
+    const IrComputeResult once =
+        irCompute(target, width, true, kernel); // count the work
+    return measureRate(
+        static_cast<double>(once.whd.comparisons), [&] {
+            IrComputeResult res =
+                irCompute(target, width, true, kernel);
+            benchmark::DoNotOptimize(res);
+        });
 }
 
 void
@@ -285,6 +326,51 @@ emitBenchJson(const std::string &path)
                             full / scalar_full);
             report.addValue("speedup_pruned_" + kname,
                             pruned / scalar_pruned);
+        }
+    }
+
+    // The indel-dense read length: the pruned software sweep, and
+    // the width-32 datapath whose 150 bp reads end in a 22-base
+    // partial chunk.
+    const IrTargetInput input150 = benchInput(4, 48, 400, kLongReadLen);
+    const MarshalledTarget target150 = marshalTarget(input150);
+    {
+        WhdStats pruned;
+        minWhd(input150, true, &pruned);
+        report.addValue("n_minwhd150_pruned_comparisons",
+                        static_cast<double>(pruned.comparisons));
+        report.addValue(
+            "n_minwhd150_pruned_offsets_pruned",
+            static_cast<double>(pruned.offsetsPruned));
+        const IrComputeResult res = irCompute(target150, 32, true);
+        report.addValue("n_ircompute150_w32_cycles",
+                        static_cast<double>(res.totalCycles()));
+        report.addValue("n_ircompute150_w32_comparisons",
+                        static_cast<double>(res.whd.comparisons));
+    }
+    const double scalar_pruned150 =
+        measureMinWhdRate(WhdKernel::Scalar, true, input150);
+    const double scalar_w32 =
+        measureIrComputeRate(WhdKernel::Scalar, 32, target150);
+    for (WhdKernel kernel : supportedWhdKernels()) {
+        const std::string kname = whdKernelName(kernel);
+        const double pruned =
+            kernel == WhdKernel::Scalar
+                ? scalar_pruned150
+                : measureMinWhdRate(kernel, true, input150);
+        const double w32 =
+            kernel == WhdKernel::Scalar
+                ? scalar_w32
+                : measureIrComputeRate(kernel, 32, target150);
+        report.addValue("rate_minwhd150_pruned_" + kname + "_cps",
+                        pruned);
+        report.addValue("rate_ircompute150_w32_" + kname + "_cps",
+                        w32);
+        if (kernel != WhdKernel::Scalar) {
+            report.addValue("speedup_pruned_" + kname + "_150bp",
+                            pruned / scalar_pruned150);
+            report.addValue("speedup_pruned_w32_" + kname + "_150bp",
+                            w32 / scalar_w32);
         }
     }
 

@@ -136,11 +136,15 @@ kernelBenchGateRules()
 {
     // Order matters: first matching prefix wins.  The unpruned
     // speedups carry the tentpole acceptance floor (vectorized
-    // kernels must stay >= 2x scalar); pruned speedups are gated
-    // relative only, since pruning aborts most of the vector work
-    // and the margin over scalar is structurally thinner.
+    // kernels must stay >= 2x scalar).  The AVX2 pruned software
+    // sweep runs 16 offsets per vector with exact per-lane abort
+    // points and must stay >= 8x scalar; the other pruned speedups
+    // (generic lanes, per-chunk datapath sweeps) are gated relative
+    // only.
     return {
         {"speedup_unpruned_", GateClass::HigherBetter, 0.30, 2.0,
+         true},
+        {"speedup_pruned_avx2", GateClass::HigherBetter, 0.35, 8.0,
          true},
         {"speedup_pruned_", GateClass::HigherBetter, 0.35, 0.0,
          true},

@@ -1,5 +1,6 @@
 #include "realign/whd_simd.hh"
 
+#include "realign/limits.hh"
 #include "realign/whd.hh"
 #include "util/logging.hh"
 
@@ -31,6 +32,11 @@ namespace {
  *    best == kWhdInfinity the saturated value (<= kWhdMax) never
  *    reaches it.  Vectorized prune checks therefore use plain
  *    64-bit sums guarded by best != kWhdInfinity.
+ * 4. Offset lanes of the pruned sweep: u16 lane sums are exact for
+ *    n <= kMaxReadLen (256 * 255 < 2^16), and a finite best then
+ *    also fits in 16 bits.  A lane whose sum reaches best has
+ *    aborted (note 2); a lane that never does ends below best, so
+ *    the first such lane is the next new minimum.
  */
 
 bool
@@ -110,7 +116,7 @@ blockSum(const uint8_t *cons_p, const uint8_t *read_p,
 {
     uint32_t sum = 0;
     for (size_t i = 0; i < len; ++i)
-        sum += (cons_p[i] != read_p[i]) ? qual_p[i] : 0;
+        sum += qual_p[i] * (cons_p[i] != read_p[i]);
     return sum;
 }
 
@@ -189,57 +195,197 @@ sweepUnprunedGeneric(const uint8_t *cons, size_t m,
 }
 
 /**
- * Pruned sweep with per-comparison (software) semantics: evaluate
- * each offset in branchless blocks; when a block's end-of-sum
- * crosses the running minimum, rescan that block scalar to recover
- * the exact abort comparison for the counters (notes 2/3 above).
+ * Mismatch-quality sum of the 32-base window at @p c with its first
+ * @p skip lanes masked out: a fixed-length loop with a 16-bit sum
+ * (32 * 255 < 2^16), which the vectorizer unrolls.
  */
-template <size_t Block,
-          uint32_t (*BlockSumFn)(const uint8_t *, const uint8_t *,
-                                 const uint8_t *, size_t)>
+uint32_t
+windowSum32(const uint8_t *c, const uint8_t *r, const uint8_t *q,
+            size_t skip)
+{
+    // Multiplies instead of a conditional load, and a byte-wide
+    // lane index, keep the loop free of control flow and 64-bit
+    // lanes.
+    const uint8_t first = static_cast<uint8_t>(skip);
+    uint16_t sum = 0;
+    for (uint8_t i = 0; i < 32; ++i)
+        sum += q[i] * (c[i] != r[i] && i >= first);
+    return sum;
+}
+
+/**
+ * Mismatch-quality sum of bases [a, b) of one offset (@p c points
+ * at the offset's first consensus byte), in 32-base windows.  A
+ * partial last block ending at b >= 32 is one overlapping window
+ * [b - 32, b) with the lanes in front of a masked out; only ranges
+ * ending before base 32 take the variable-length loop.
+ */
+uint32_t
+rangeSum(const uint8_t *c, const uint8_t *r, const uint8_t *q,
+         size_t a, size_t b)
+{
+    uint32_t sum = 0;
+    for (; a + 32 <= b; a += 32)
+        sum += windowSum32(c + a, r + a, q + a, 0);
+    if (a == b)
+        return sum;
+    if (b < 32)
+        return sum + blockSum(c + a, r + a, q + a, b - a);
+    return sum + windowSum32(c + b - 32, r + b - 32, q + b - 32,
+                             32 - (b - a));
+}
+
+/**
+ * One offset of the per-comparison pruned sweep: branchless blocks;
+ * when a block's end-of-block sum crosses the running minimum, a
+ * scalar rescan of that block recovers the exact abort comparison
+ * for the counters (notes 2/3 above).
+ */
+void
+prunedOffset(const uint8_t *cons_k, const uint8_t *read,
+             const uint8_t *qual, size_t n, size_t k,
+             WhdSweepResult &r)
+{
+    uint64_t whd = 0;
+    for (size_t chunk = 0; chunk < n;
+         chunk += kWhdGenericPruneBlock) {
+        const size_t lanes =
+            std::min(kWhdGenericPruneBlock, n - chunk);
+        const uint32_t bs = blockSum(cons_k + chunk, read + chunk,
+                                     qual + chunk, lanes);
+        if (r.best != kWhdInfinity && whd + bs >= r.best) {
+            // The abort comparison is inside this block.
+            size_t p = chunk;
+            for (;; ++p) {
+                if (cons_k[p] != read[p])
+                    whd += qual[p];
+                if (whd >= r.best)
+                    break;
+            }
+            r.comparisons += p + 1;
+            ++r.offsetsPruned;
+            return;
+        }
+        whd += bs;
+    }
+    r.comparisons += n;
+    const uint32_t v =
+        whd > kWhdMax ? kWhdMax : static_cast<uint32_t>(whd);
+    if (v < r.best) {
+        r.best = v;
+        r.bestK = static_cast<uint32_t>(k);
+    }
+}
+
+/**
+ * kWhdGenericLanes offsets of the per-comparison pruned sweep, one
+ * u16 lane each, against a fixed running minimum @p best (finite,
+ * n <= kMaxReadLen; note 4).  The lanes advance
+ * kWhdGenericPruneBlock bases at a time in the unpruned sweep's loop
+ * shape (no exit inside, so it vectorizes); a lane whose sum reaches
+ * best in a block gets that block rescanned from its start-of-block
+ * sum to find the scalar abort comparison p, and counts p + 1
+ * (note 2).  Stops after the block in which the last lane died.
+ *
+ * @return the first lane that survived all n bases (its sum is then
+ *         below best), or kWhdGenericLanes if none did; @p count /
+ *         @p sum hold every lane's comparisons and WHD.
+ */
+size_t
+prunedLanesGeneric(const uint8_t *cons_k0, const uint8_t *read,
+                   const uint8_t *qual, size_t n, uint32_t best,
+                   uint16_t count[kWhdGenericLanes],
+                   uint16_t sum[kWhdGenericLanes])
+{
+    constexpr size_t L = kWhdGenericLanes;
+    uint16_t acc[L] = {};
+    bool alive[L];
+    for (size_t l = 0; l < L; ++l) {
+        alive[l] = true;
+        count[l] = static_cast<uint16_t>(n);
+    }
+    size_t left = L;
+    for (size_t p0 = 0; p0 < n && left > 0;
+         p0 += kWhdGenericPruneBlock) {
+        const size_t end = std::min(n, p0 + kWhdGenericPruneBlock);
+        uint16_t start[L];
+        for (size_t l = 0; l < L; ++l)
+            start[l] = acc[l];
+        for (size_t p = p0; p < end; ++p) {
+            const uint8_t rb = read[p];
+            const uint16_t q = qual[p];
+            const uint8_t *c = cons_k0 + p;
+            for (size_t l = 0; l < L; ++l)
+                acc[l] += q * (c[l] != rb);
+        }
+        for (size_t l = 0; l < L; ++l) {
+            if (!alive[l] || acc[l] < best)
+                continue;
+            uint32_t whd = start[l];
+            size_t p = p0;
+            for (;; ++p) {
+                if (cons_k0[l + p] != read[p])
+                    whd += qual[p];
+                if (whd >= best)
+                    break;
+            }
+            count[l] = static_cast<uint16_t>(p + 1);
+            alive[l] = false;
+            --left;
+        }
+    }
+    for (size_t l = 0; l < L; ++l)
+        sum[l] = acc[l];
+    for (size_t l = 0; l < L; ++l)
+        if (alive[l])
+            return l;
+    return L;
+}
+
+/**
+ * Pruned sweep with per-comparison (software) semantics:
+ * kWhdGenericLanes offsets at a time in prunedLanesGeneric.  A
+ * surviving lane is the new minimum: the lanes before it are
+ * committed, best/bestK move to it, and the block restarts just
+ * past it so later lanes are judged against the lower bound.  The
+ * first offset (no minimum yet), reads longer than the u16 lanes
+ * hold, and the last offsets that do not fill a block go through
+ * prunedOffset.
+ */
 WhdSweepResult
 sweepPrunedPerComparison(const uint8_t *cons, size_t m,
                          const uint8_t *read, const uint8_t *qual,
                          size_t n)
 {
+    static_assert(kMaxReadLen * 255 <= 0xFFFF,
+                  "u16 lane sums must be exact for every read");
     WhdSweepResult r;
-    for (size_t k = 0; k + n <= m; ++k) {
-        uint64_t whd = 0;
-        bool pruned = false;
-        for (size_t chunk = 0; chunk < n && !pruned;
-             chunk += Block) {
-            const size_t lanes = std::min<size_t>(Block, n - chunk);
-            const uint32_t bs = BlockSumFn(cons + k + chunk,
-                                           read + chunk,
-                                           qual + chunk, lanes);
-            if (r.best != kWhdInfinity && whd + bs >= r.best) {
-                // The abort comparison is inside this block.
-                size_t p = chunk;
-                for (;; ++p) {
-                    if (cons[k + p] != read[p])
-                        whd += qual[p];
-                    if (whd >= r.best)
-                        break;
-                }
-                r.comparisons += p + 1;
-                r.chunks += p + 1; // chunk == comparison here
-                ++r.offsetsPruned;
-                pruned = true;
-                break;
-            }
-            whd += bs;
-        }
-        if (pruned)
+    const size_t offsets = m - n + 1;
+    size_t k = 0;
+    while (k < offsets) {
+        if (r.best == kWhdInfinity || n == 0 || n > kMaxReadLen ||
+            offsets - k < kWhdGenericLanes) {
+            prunedOffset(cons + k, read, qual, n, k, r);
+            ++k;
             continue;
-        r.comparisons += n;
-        r.chunks += n;
-        const uint32_t v =
-            whd > kWhdMax ? kWhdMax : static_cast<uint32_t>(whd);
-        if (v < r.best) {
-            r.best = v;
-            r.bestK = static_cast<uint32_t>(k);
         }
+        uint16_t count[kWhdGenericLanes];
+        uint16_t sum[kWhdGenericLanes];
+        const size_t pruned = prunedLanesGeneric(
+            cons + k, read, qual, n, r.best, count, sum);
+        for (size_t l = 0; l < pruned; ++l)
+            r.comparisons += count[l];
+        r.offsetsPruned += pruned;
+        if (pruned == kWhdGenericLanes) {
+            k += kWhdGenericLanes;
+            continue;
+        }
+        r.comparisons += n;
+        r.best = sum[pruned];
+        r.bestK = static_cast<uint32_t>(k + pruned);
+        k += pruned + 1;
     }
+    r.chunks = r.comparisons; // chunk == comparison here
     return r;
 }
 
@@ -249,41 +395,41 @@ sweepPrunedPerComparison(const uint8_t *cons, size_t m,
  * pruned offset charges the whole chunk that crossed -- the block
  * sum IS the datapath's per-cycle work, no rescan needed.
  */
-template <uint32_t (*BlockSumFn)(const uint8_t *, const uint8_t *,
-                                 const uint8_t *, size_t)>
 WhdSweepResult
 sweepPrunedPerChunk(const uint8_t *cons, size_t m,
                     const uint8_t *read, const uint8_t *qual,
                     size_t n, uint32_t pruneChunk)
 {
-    WhdSweepResult r;
+    // Counters live in locals: stores through the result would have
+    // to be redone every chunk, since the byte loads may alias them.
+    uint32_t best = kWhdInfinity;
+    uint32_t bestK = 0;
+    uint64_t comparisons = 0, offsetsPruned = 0, chunks = 0;
     for (size_t k = 0; k + n <= m; ++k) {
         uint64_t whd = 0;
         bool pruned = false;
         for (size_t chunk = 0; chunk < n; chunk += pruneChunk) {
-            const size_t lanes =
-                std::min<size_t>(pruneChunk, n - chunk);
-            ++r.chunks;
-            r.comparisons += lanes;
-            whd += BlockSumFn(cons + k + chunk, read + chunk,
-                              qual + chunk, lanes);
-            if (r.best != kWhdInfinity && whd >= r.best) {
+            const size_t end = std::min<size_t>(n, chunk + pruneChunk);
+            ++chunks;
+            comparisons += end - chunk;
+            whd += rangeSum(cons + k, read, qual, chunk, end);
+            if (best != kWhdInfinity && whd >= best) {
                 pruned = true;
                 break;
             }
         }
         if (pruned) {
-            ++r.offsetsPruned;
+            ++offsetsPruned;
             continue;
         }
         const uint32_t v =
             whd > kWhdMax ? kWhdMax : static_cast<uint32_t>(whd);
-        if (v < r.best) {
-            r.best = v;
-            r.bestK = static_cast<uint32_t>(k);
+        if (v < best) {
+            best = v;
+            bestK = static_cast<uint32_t>(k);
         }
     }
-    return r;
+    return {best, bestK, comparisons, offsetsPruned, chunks};
 }
 
 /** Unpruned counters are a pure function of the sweep shape. */
@@ -364,13 +510,10 @@ whdSweep(const uint8_t *cons, size_t m, const uint8_t *read,
             fillUnprunedCounters(r, m, n, pruneChunk);
             return r;
         }
-        if (pruneChunk == 1) {
-            return sweepPrunedPerComparison<kWhdGenericPruneBlock,
-                                            blockSum>(cons, m, read,
-                                                      qual, n);
-        }
-        return sweepPrunedPerChunk<blockSum>(cons, m, read, qual, n,
-                                             pruneChunk);
+        if (pruneChunk == 1)
+            return sweepPrunedPerComparison(cons, m, read, qual, n);
+        return sweepPrunedPerChunk(cons, m, read, qual, n,
+                                   pruneChunk);
 
       case WhdKernel::Avx2: {
         if (!prune) {

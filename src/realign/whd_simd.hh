@@ -12,24 +12,34 @@
  *            running-minimum check per comparison (software) or per
  *            chunk (hardware model).
  *   generic  portable fixed-width lanes written so any optimizing
- *            compiler can auto-vectorize: the unpruned sweep runs
- *            kWhdGenericLanes offsets at once (for base n the
+ *            compiler can auto-vectorize.  The unpruned sweep and
+ *            the per-comparison pruned sweep (pruneChunk == 1) run
+ *            kWhdGenericLanes offsets at once: for base p the
  *            consensus bytes needed across offset lanes are
- *            contiguous), the pruned sweep evaluates one offset in
- *            branchless blocks.
+ *            contiguous.  The per-chunk pruned sweep (pruneChunk ==
+ *            datapath width) runs one offset in 32-base windows.
  *   avx2     the same shapes hand-written with AVX2 intrinsics
  *            (compiled via function target attributes, selected at
- *            runtime only when CPUID reports AVX2).
+ *            runtime only when CPUID reports AVX2): 16 u16 offset
+ *            lanes per vector, and 32-byte sad_epu8 windows for the
+ *            per-chunk sweep.
  *
  * Every implementation is bit-equal to scalar: identical min-WHD
  * grids and offsets, identical WhdStats work counters, identical
  * datapath chunk counts.  The unpruned sweep derives its counters
- * in closed form; the pruned sweep reconstructs the exact scalar
- * abort point from block partial sums (quality accumulation is
- * monotone, so the first comparison whose running sum reaches the
- * current minimum is recoverable from the block that crossed it).
- * The differential harness (src/testing) and tests/whd_test.cc
- * referee the equality.
+ * in closed form.  The per-comparison pruned sweep keeps an exact
+ * abort point per offset lane: quality accumulation is monotone, so
+ * a lane dies at the first comparison whose running sum reaches the
+ * current minimum, and a lane that survives every base is the next
+ * new minimum -- the block then restarts just past it against the
+ * lower bound.  The first offset (no minimum yet), reads longer than
+ * kMaxReadLen (u16 lane sums would overflow) and the last offsets
+ * that do not fill a lane block run one offset at a time in blocks,
+ * with a rescan of the block that crossed the minimum.  The
+ * per-chunk sweep sums a partial last chunk that ends at base
+ * b >= 32 through one overlapping window [b - 32, b) with the
+ * already-summed lanes masked out.  The differential harness
+ * (src/testing) and tests/whd_test.cc referee the equality.
  *
  * Dispatch: the kernel is a value every caller passes in
  * (minWhd, irCompute, SoftwareRealignerConfig::kernel) and defaults
@@ -67,20 +77,22 @@ enum class WhdKernel : uint8_t
     Avx2 = 2,
 };
 
-/** Offset lanes processed per block by the generic unpruned sweep. */
+/** Offset lanes processed per block by the generic sweeps. */
 constexpr size_t kWhdGenericLanes = 16;
 
 /**
- * Base block size of the AVX2 pruned sweep (one 32-byte vector per
- * block sum).
+ * Base block size of the AVX2 pruned sweep's one-offset path (one
+ * 32-byte vector per block sum).
  */
 constexpr size_t kWhdPruneBlock = 32;
 
 /**
- * Base block size of the generic pruned sweep.  Smaller than the
- * AVX2 block: with computation pruning most offsets abort within
- * the first few comparisons, so a block's wasted work past the
- * abort point matters more than vector utilization.
+ * Base block size of the generic pruned sweep, both its one-offset
+ * path and the bases its offset lanes advance between abort checks.
+ * Smaller than the AVX2 block: with computation pruning most
+ * offsets abort within the first few comparisons, so a block's
+ * wasted work past the abort point matters more than vector
+ * utilization.
  */
 constexpr size_t kWhdGenericPruneBlock = 8;
 

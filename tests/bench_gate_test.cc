@@ -104,6 +104,37 @@ TEST(BenchGate, SpeedupFloorIsAbsolute)
     EXPECT_NE(f->detail.find("floor"), std::string::npos);
 }
 
+TEST(BenchGate, PrunedAvx2FloorMatchesBeforeGenericPruned)
+{
+    // The AVX2 pruned-sweep speedups (100 and 150 bp) carry an 8x
+    // floor; every other pruned speedup keeps the floorless rule.
+    ValueMap baseline = {{"speedup_pruned_avx2", 9.0},
+                         {"speedup_pruned_avx2_150bp", 9.0},
+                         {"speedup_pruned_generic", 1.3},
+                         {"speedup_pruned_w32_avx2_150bp", 1.5}};
+    ValueMap weak = {{"speedup_pruned_avx2", 7.5},
+                     {"speedup_pruned_avx2_150bp", 7.5},
+                     {"speedup_pruned_generic", 1.2},
+                     {"speedup_pruned_w32_avx2_150bp", 1.4}};
+    GateResult r = checkBenchGate(baseline, {weak},
+                                  obs::kernelBenchGateRules());
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.failedCount(), 2u);
+    for (const char *key :
+         {"speedup_pruned_avx2", "speedup_pruned_avx2_150bp"}) {
+        const GateFinding *f = findKey(r, key);
+        ASSERT_NE(f, nullptr) << key;
+        EXPECT_FALSE(f->ok) << key;
+        EXPECT_NE(f->detail.find("floor"), std::string::npos) << key;
+    }
+    for (const char *key :
+         {"speedup_pruned_generic", "speedup_pruned_w32_avx2_150bp"}) {
+        const GateFinding *f = findKey(r, key);
+        ASSERT_NE(f, nullptr) << key;
+        EXPECT_TRUE(f->ok) << key;
+    }
+}
+
 TEST(BenchGate, Fig7FleetRulesCatchSlowdownAndFloor)
 {
     // The fig7 suite gates the modeled fleet scaling.  An injected

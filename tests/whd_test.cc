@@ -349,6 +349,181 @@ TEST(DispatchSweep, BitEqualOnLaneBoundaryShapes)
     }
 }
 
+/**
+ * expectSweepBitEqual() on copies of cons/read/qual in exact-size
+ * heap buffers: the vector kernels' 16-byte lane loads and
+ * overlapping 32-byte tail windows end exactly at the last byte, so
+ * under ASan any read past it fails the test.
+ */
+void
+expectExactBuffersBitEqual(const BaseSeq &cons, const BaseSeq &read,
+                           const QualSeq &qual, bool prune,
+                           uint32_t chunk, const std::string &where)
+{
+    const std::vector<uint8_t> c(cons.begin(), cons.end());
+    const std::vector<uint8_t> r(read.begin(), read.end());
+    const std::vector<uint8_t> q(qual.begin(), qual.end());
+    expectSweepBitEqual(c.data(), c.size(), r.data(), q.data(),
+                        r.size(), prune, chunk, where);
+}
+
+/** A random read that matches @p cons at a random offset, give or
+ *  take one base; 15% zero qualities exercise equality crossings. */
+void
+nearMatchRead(const BaseSeq &cons, size_t n, Rng &rng, BaseSeq &read,
+              QualSeq &qual)
+{
+    read = cons.substr(rng.below(cons.size() - n + 1), n);
+    if (rng.chance(0.5))
+        read[rng.below(n)] = kConcreteBases[rng.below(4)];
+    qual.clear();
+    for (size_t b = 0; b < n; ++b)
+        qual.push_back(static_cast<uint8_t>(
+            rng.chance(0.15) ? 0 : rng.range(0, 60)));
+}
+
+BaseSeq
+randomBases(size_t len, Rng &rng)
+{
+    BaseSeq s;
+    for (size_t b = 0; b < len; ++b)
+        s.push_back(kConcreteBases[rng.below(4)]);
+    return s;
+}
+
+TEST(DispatchSweep, OffsetLaneEdgesBitEqual)
+{
+    // Offset counts around the 16-lane block of the pruned sweeps
+    // (one short, exact, one over, two blocks plus one) and read
+    // lengths around the 32-byte window and the u16 lane limit
+    // (n = 257 exceeds kMaxReadLen and takes the per-offset path).
+    const size_t offset_counts[] = {15, 16, 17, 33};
+    const size_t read_lens[] = {1, 31, 32, 33, 150, 256, 257};
+    Rng rng(0x0FF5E7);
+    for (size_t offsets : offset_counts) {
+        for (size_t n : read_lens) {
+            for (int trial = 0; trial < 4; ++trial) {
+                const BaseSeq cons = randomBases(n + offsets - 1, rng);
+                BaseSeq read;
+                QualSeq qual;
+                nearMatchRead(cons, n, rng, read, qual);
+                const std::string where =
+                    "offsets=" + std::to_string(offsets) +
+                    " n=" + std::to_string(n) +
+                    " trial=" + std::to_string(trial);
+                for (bool prune : {false, true})
+                    for (uint32_t chunk : {1u, 32u})
+                        expectExactBuffersBitEqual(cons, read, qual,
+                                                   prune, chunk,
+                                                   where);
+            }
+        }
+    }
+}
+
+TEST(DispatchSweep, MinimumDropsMidBlockBitEqual)
+{
+    // An all-'A' read with uniform quality against a consensus with
+    // mismatches ('C') at 0, 3 and 15 and a run of them in the
+    // middle, 'A' in the mirror positions n..n+15: the WHD drops by
+    // one mismatch at offsets 1, 4 and 16 and holds level in
+    // between.  Offset 0 runs alone (no minimum yet); the next
+    // lane block starts at offset 1, so the running minimum falls
+    // at its lanes 0, 3 and 15, every survivor restarts the block
+    // mid-way, and the level offsets prune on an exact tie.  From
+    // offset 17 on the middle run slides out and the minimum keeps
+    // falling.
+    const size_t n = 40;
+    const size_t offsets = 33;
+    BaseSeq cons(n + offsets - 1, 'A');
+    for (size_t i : {0, 3, 15})
+        cons[i] = 'C';
+    for (size_t i = 16; i < 30; ++i)
+        cons[i] = 'C';
+    const BaseSeq read(n, 'A');
+    const QualSeq qual(n, 20);
+
+    auto whdAt = [&](size_t k) {
+        return calcWhd(cons, read, qual, k);
+    };
+    uint32_t best = whdAt(0);
+    std::vector<size_t> drops;
+    for (size_t k = 1; k <= 16; ++k) {
+        if (whdAt(k) < best) {
+            best = whdAt(k);
+            drops.push_back(k);
+        }
+    }
+    ASSERT_EQ(drops, (std::vector<size_t>{1, 4, 16}));
+
+    for (uint32_t q : {20u, 0u, 7u}) {
+        QualSeq quals = qual;
+        if (q != 20) // a zero-quality base ties inside a lane too
+            quals[n / 2] = static_cast<uint8_t>(q);
+        for (uint32_t chunk : {1u, 32u})
+            expectExactBuffersBitEqual(cons, read, quals, true, chunk,
+                                       "mid-block drops q=" +
+                                           std::to_string(q));
+    }
+}
+
+TEST(DispatchSweep, ZeroMinimumBitEqual)
+{
+    // Once best == 0 every later offset prunes on its first
+    // comparison.  The exact match sits at offset 0 (set by the
+    // per-offset path), inside a lane block (a survivor restarts the
+    // block with best == 0), and in the last short block.
+    Rng rng(0x2E80);
+    for (size_t n : {1, 32, 150}) {
+        for (size_t match : {0, 3, 20}) {
+            BaseSeq cons = randomBases(n + 24, rng);
+            const BaseSeq read = cons.substr(match, n);
+            QualSeq qual;
+            for (size_t b = 0; b < n; ++b)
+                qual.push_back(static_cast<uint8_t>(rng.range(1, 60)));
+            const std::string where = "n=" + std::to_string(n) +
+                                      " match=" +
+                                      std::to_string(match);
+            const std::vector<uint8_t> c(cons.begin(), cons.end());
+            const WhdSweepResult ref = whdSweep(
+                c.data(), c.size(),
+                reinterpret_cast<const uint8_t *>(read.data()),
+                qual.data(), n, true, 1, WhdKernel::Scalar);
+            EXPECT_EQ(ref.best, 0u) << where;
+            for (uint32_t chunk : {1u, 32u})
+                expectExactBuffersBitEqual(cons, read, qual, true,
+                                           chunk, where);
+        }
+    }
+}
+
+TEST(DispatchSweep, ChunkWidthTailWindowBitEqual)
+{
+    // Width-32 datapath chunks: a read shorter than one chunk (no
+    // tail window), whole chunks only, and a 22-base last chunk
+    // (150 bp) that the vector kernels sum through one overlapping
+    // window; width 8 puts short chunks before and after base 32.
+    Rng rng(0x7A11);
+    for (size_t n : {20, 64, 150}) {
+        for (size_t offsets : {1, 16, 40}) {
+            for (int trial = 0; trial < 4; ++trial) {
+                const BaseSeq cons = randomBases(n + offsets - 1, rng);
+                BaseSeq read;
+                QualSeq qual;
+                nearMatchRead(cons, n, rng, read, qual);
+                const std::string where =
+                    "n=" + std::to_string(n) +
+                    " offsets=" + std::to_string(offsets);
+                for (bool prune : {false, true})
+                    for (uint32_t chunk : {8u, 32u})
+                        expectExactBuffersBitEqual(cons, read, qual,
+                                                   prune, chunk,
+                                                   where);
+            }
+        }
+    }
+}
+
 TEST(DispatchSweep, SaturationNearWhdMaxBitEqual)
 {
     // Long enough that max-quality mismatches cross kWhdMax on the
