@@ -1,15 +1,16 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the hot kernels: the
- * weighted-Hamming-distance software kernel (per dispatch variant,
- * with and without pruning), the accelerator datapath model at
- * several widths, the Smith-Waterman extension kernel, and target
- * marshalling.  These quantify the per-base-comparison cost that
+ * weighted-Hamming-distance software kernel (the scalar reference,
+ * and avx2 where the CPU has it; with and without pruning), the
+ * accelerator datapath model at several widths, the Smith-Waterman
+ * extension kernel, and target marshalling.  These quantify the per-base-comparison cost that
  * the Section II-C compute-bound argument rests on.
  *
  * With `--json <path>` (or IRACC_BENCH_JSON) the binary also emits
- * an iracc-bench-v1 document with one section per dispatch variant,
- * measured by a self-timed loop independent of google-benchmark.
+ * an iracc-bench-v1 document with rates for every supported kernel
+ * and speedups of avx2 over scalar, measured by a self-timed loop
+ * independent of google-benchmark.
  * Key prefixes encode the perf-gate policy (tools/iracc_bench):
  *
  *   n_*        deterministic counts/cycles -- must match exactly

@@ -139,7 +139,7 @@ kernelBenchGateRules()
     // kernels must stay >= 2x scalar).  The AVX2 pruned software
     // sweep runs 16 offsets per vector with exact per-lane abort
     // points and must stay >= 8x scalar; the other pruned speedups
-    // (generic lanes, per-chunk datapath sweeps) are gated relative
+    // (the `_w32_` per-chunk datapath sweeps) are gated relative
     // only.
     return {
         {"speedup_unpruned_", GateClass::HigherBetter, 0.30, 2.0,
@@ -307,6 +307,26 @@ medianOf(std::vector<double> xs)
     return (xs[mid - 1] + xs[mid]) / 2.0;
 }
 
+std::map<std::string, double>
+medianValues(const std::vector<std::map<std::string, double>> &runs)
+{
+    std::map<std::string, double> out;
+    if (runs.empty())
+        return out;
+    for (const auto &entry : runs[0]) {
+        std::vector<double> samples;
+        for (const auto &run : runs) {
+            auto it = run.find(entry.first);
+            if (it == run.end())
+                break;
+            samples.push_back(it->second);
+        }
+        if (samples.size() == runs.size())
+            out[entry.first] = medianOf(samples);
+    }
+    return out;
+}
+
 GateResult
 checkBenchGate(
     const std::map<std::string, double> &baseline,
@@ -316,20 +336,12 @@ checkBenchGate(
     GateResult result;
     std::vector<GateFinding> passed, notes;
 
+    const std::map<std::string, double> medians = medianValues(runs);
     for (const auto &[key, base] : baseline) {
         // Every repetition must report the key: a metric that
         // silently vanishes is itself a regression.
-        std::vector<double> samples;
-        bool missing = false;
-        for (const auto &run : runs) {
-            auto it = run.find(key);
-            if (it == run.end()) {
-                missing = true;
-                break;
-            }
-            samples.push_back(it->second);
-        }
-        if (missing || runs.empty()) {
+        auto median = medians.find(key);
+        if (median == medians.end()) {
             GateFinding f;
             f.key = key;
             f.ok = false;
@@ -341,7 +353,7 @@ checkBenchGate(
             continue;
         }
 
-        double cur = medianOf(samples);
+        double cur = median->second;
         const GateRule *rule = matchRule(rules, key);
         GateFinding f =
             rule ? gateOne(key, *rule, base, cur)

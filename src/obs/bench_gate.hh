@@ -138,6 +138,13 @@ bool parseBenchValues(const std::string &json_text,
 double medianOf(std::vector<double> xs);
 
 /**
+ * Per-key medianOf over @p runs (one values-map per bench
+ * repetition), for the keys every run reports.
+ */
+std::map<std::string, double> medianValues(
+    const std::vector<std::map<std::string, double>> &runs);
+
+/**
  * Gate @p runs (one values-map per fresh bench repetition) against
  * @p baseline under @p rules.  Findings come back ordered: failed
  * gated keys first, then passing gated keys, then ungated notes.

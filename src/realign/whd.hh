@@ -15,9 +15,8 @@
  * eliminates >50 % of base comparisons on realistic inputs.
  *
  * The per-pair offset sweep itself runs through the runtime-dispatch
- * layer in realign/whd_simd.hh (scalar reference, portable generic
- * lanes, AVX2) -- every implementation produces bit-identical grids
- * and WhdStats.
+ * layer in realign/whd_simd.hh (scalar reference, AVX2) -- both
+ * implementations produce bit-identical grids and WhdStats.
  */
 
 #ifndef IRACC_REALIGN_WHD_HH

@@ -3,12 +3,10 @@
  * AVX2 implementations of the WHD offset sweep.  Compiled with
  * per-function target attributes so the translation unit builds
  * under the project's baseline flags; the dispatch layer routes here
- * only after CPUID reports AVX2.  The sweep structure (and the
- * correctness argument for bit-equal counters, notes 1-4 in
- * whd_simd.cc) mirrors the generic sweeps, except that the pruned
- * offset lanes check the running minimum after every base instead
- * of every kWhdGenericPruneBlock bases -- tests/whd_test.cc referees
- * the equality.
+ * only after CPUID reports AVX2.  The correctness argument for
+ * bit-equal results and counters is notes 1-4 in whd_simd.cc;
+ * tests/whd_test.cc and the differential harness referee the
+ * equality against the scalar reference sweep there.
  */
 
 #include "realign/whd_simd.hh"
@@ -160,6 +158,9 @@ rangeSum(const uint8_t *c, const uint8_t *r, const uint8_t *q,
         sum += q[a] * (c[a] != r[a]);
     return sum;
 }
+
+/** Bases per block sum of prunedOffset (one 32-byte vector). */
+constexpr size_t kWhdPruneBlock = 32;
 
 /**
  * One offset of the per-comparison pruned sweep: branchless block

@@ -5,26 +5,21 @@
  *
  * The weighted-Hamming-distance inner loop (paper Algorithm 1) is
  * the dominant cost of both the software oracle and the
- * accelerator's datapath model, so it exists in three
- * interchangeable implementations:
+ * accelerator's datapath model, so it exists in two interchangeable
+ * implementations:
  *
  *   scalar   the reference loop: one base comparison at a time,
  *            running-minimum check per comparison (software) or per
- *            chunk (hardware model).
- *   generic  portable fixed-width lanes written so any optimizing
- *            compiler can auto-vectorize.  The unpruned sweep and
- *            the per-comparison pruned sweep (pruneChunk == 1) run
- *            kWhdGenericLanes offsets at once: for base p the
- *            consensus bytes needed across offset lanes are
- *            contiguous.  The per-chunk pruned sweep (pruneChunk ==
- *            datapath width) runs one offset in 32-base windows.
- *   avx2     the same shapes hand-written with AVX2 intrinsics
- *            (compiled via function target attributes, selected at
- *            runtime only when CPUID reports AVX2): 16 u16 offset
- *            lanes per vector, and 32-byte sad_epu8 windows for the
- *            per-chunk sweep.
+ *            chunk (hardware model); the default without AVX2.
+ *   avx2     AVX2 intrinsics (function target attributes, selected
+ *            at runtime only when CPUID reports AVX2).  The unpruned
+ *            and per-comparison pruned (pruneChunk == 1) sweeps run
+ *            16 offsets per vector, one u16 lane each: for base p
+ *            the lanes' consensus bytes are contiguous.  The
+ *            per-chunk pruned sweep (pruneChunk == datapath width)
+ *            runs one offset in 32-byte sad_epu8 windows.
  *
- * Every implementation is bit-equal to scalar: identical min-WHD
+ * The AVX2 sweeps are bit-equal to scalar: identical min-WHD
  * grids and offsets, identical WhdStats work counters, identical
  * datapath chunk counts.  The unpruned sweep derives its counters
  * in closed form.  The per-comparison pruned sweep keeps an exact
@@ -73,30 +68,10 @@ namespace iracc {
 enum class WhdKernel : uint8_t
 {
     Scalar = 0,
-    Generic = 1,
-    Avx2 = 2,
+    Avx2 = 1,
 };
 
-/** Offset lanes processed per block by the generic sweeps. */
-constexpr size_t kWhdGenericLanes = 16;
-
-/**
- * Base block size of the AVX2 pruned sweep's one-offset path (one
- * 32-byte vector per block sum).
- */
-constexpr size_t kWhdPruneBlock = 32;
-
-/**
- * Base block size of the generic pruned sweep, both its one-offset
- * path and the bases its offset lanes advance between abort checks.
- * Smaller than the AVX2 block: with computation pruning most
- * offsets abort within the first few comparisons, so a block's
- * wasted work past the abort point matters more than vector
- * utilization.
- */
-constexpr size_t kWhdGenericPruneBlock = 8;
-
-/** Registry name of a kernel ("scalar" / "generic" / "avx2"). */
+/** Registry name of a kernel ("scalar" / "avx2"). */
 const char *whdKernelName(WhdKernel kernel);
 
 /** @return true when @p kernel is compiled in AND this CPU runs it. */
@@ -106,8 +81,8 @@ bool whdKernelSupported(WhdKernel kernel);
 std::vector<WhdKernel> supportedWhdKernels();
 
 /**
- * The default kernel: the fastest one this CPU supports.  A pure
- * function of the host -- there is no process-wide override.
+ * The default kernel: avx2 when this CPU supports it, else scalar.
+ * A pure function of the host -- there is no process-wide override.
  */
 WhdKernel activeWhdKernel();
 
@@ -148,7 +123,8 @@ struct WhdSweepResult
  * @param kernel     implementation to run
  *
  * Results (best/bestK and all counters) are bit-equal across every
- * kernel for any (prune, pruneChunk).
+ * kernel for any (prune, pruneChunk).  An Avx2 request on a CPU
+ * without AVX2 runs scalar.
  */
 WhdSweepResult whdSweep(const uint8_t *cons, size_t m,
                         const uint8_t *read, const uint8_t *qual,

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -153,9 +154,26 @@ RealignServer::serve()
 }
 
 void
+RealignServer::reapHandlers()
+{
+    // A finished handler took mu for the last time to list itself,
+    // so joining it here cannot wait on this lock.
+    std::lock_guard<std::mutex> lock(mu);
+    for (std::thread::id id : finishedHandlers) {
+        auto it = std::find_if(
+            handlers.begin(), handlers.end(),
+            [id](const std::thread &t) { return t.get_id() == id; });
+        it->join();
+        handlers.erase(it);
+    }
+    finishedHandlers.clear();
+}
+
+void
 RealignServer::acceptLoop()
 {
     while (!stopping.load(std::memory_order_relaxed)) {
+        reapHandlers();
         pollfd pfd;
         pfd.fd = listenFd;
         pfd.events = POLLIN;
@@ -172,8 +190,11 @@ RealignServer::acceptLoop()
             ::close(fd);
             return;
         }
-        handlers.emplace_back(
-            [this, fd] { handleConnection(fd); });
+        handlers.emplace_back([this, fd] {
+            handleConnection(fd);
+            std::lock_guard<std::mutex> done(mu);
+            finishedHandlers.push_back(std::this_thread::get_id());
+        });
     }
 }
 

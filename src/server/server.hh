@@ -16,8 +16,10 @@
  * connection, all poll()-driven with short timeouts so a shutdown
  * request (protocol "shutdown" message or an external stop flag,
  * e.g. a SIGINT handler's atomic) is honoured promptly even with
- * idle connections open.  Shutdown drains or cancels the scheduler
- * per the request, then joins every thread.
+ * idle connections open.  The accept loop joins each handler once
+ * its connection closes, so only live connections hold a thread.
+ * Shutdown drains or cancels the scheduler per the request, then
+ * joins every thread.
  */
 
 #ifndef IRACC_SERVER_SERVER_HH
@@ -95,6 +97,7 @@ class RealignServer
 
   private:
     void acceptLoop();
+    void reapHandlers();
     void handleConnection(int fd);
     bool serveHttp(int fd);
     Response handleRequest(const Request &req);
@@ -116,6 +119,8 @@ class RealignServer
 
     std::thread acceptor;
     std::vector<std::thread> handlers;
+    /** Handlers whose connection closed, to be joined (under mu). */
+    std::vector<std::thread::id> finishedHandlers;
 };
 
 } // namespace server

@@ -324,5 +324,35 @@ TEST(BenchGate, ParseBenchValues)
     EXPECT_FALSE(obs::parseBenchValues("{", "", &values, &error));
 }
 
+TEST(BenchGate, MedianValuesMergeRepeats)
+{
+    // A baseline written from N repetitions stores these per-key
+    // medians, the same ones --check gates, so one outlying run
+    // sets neither.
+    const std::vector<ValueMap> runs = {
+        {{"rate_z", 10.0}, {"n_a", 7.0}, {"speedup_m", 2.0}},
+        {{"rate_z", 50.0}, {"n_a", 7.0}, {"speedup_m", 4.0}},
+        {{"rate_z", 30.0}, {"n_a", 7.0}, {"speedup_m", 3.5}},
+        {{"rate_z", 20.0}, {"n_a", 7.0}, {"speedup_m", 1.0}},
+    };
+    const ValueMap merged = obs::medianValues(runs);
+    EXPECT_EQ(merged, (ValueMap{{"rate_z", 25.0},
+                                {"n_a", 7.0},
+                                {"speedup_m", 2.75}}));
+    EXPECT_EQ(obs::medianValues({runs[1]}), runs[1]);
+    EXPECT_TRUE(obs::medianValues({}).empty());
+
+    // A key some run lacks has no median, and the gate reports it
+    // missing rather than gating the other runs' values.
+    std::vector<ValueMap> short_run = runs;
+    short_run[1].erase("n_a");
+    EXPECT_EQ(obs::medianValues(short_run).count("n_a"), 0u);
+    GateResult r = checkBenchGate(runs[0], short_run,
+                                  obs::kernelBenchGateRules());
+    EXPECT_FALSE(r.ok);
+    ASSERT_NE(findKey(r, "n_a"), nullptr);
+    EXPECT_FALSE(findKey(r, "n_a")->ok);
+}
+
 } // namespace
 } // namespace iracc

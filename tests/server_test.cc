@@ -5,7 +5,8 @@
  * (backpressure), cooperative cancellation, and a TCP end-to-end
  * drive proving tenancy never changes results -- jobs realigned
  * through the shared-fleet daemon are bit-identical to a solo
- * RealignSession run of the same spec.
+ * RealignSession run of the same spec -- and that finished
+ * connection handlers do not accumulate.
  */
 
 #include <gtest/gtest.h>
@@ -525,6 +526,55 @@ TEST(ServerEndToEnd, FourTenantsGetBitIdenticalResults)
     for (int t = 0; t < kTenants; ++t)
         std::remove(specs[t].outPath.c_str());
     rmdir(dir.c_str());
+}
+
+/** This process's virtual size (VmSize) in MB. */
+double
+vmSizeMb()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::strtod(line.c_str() + 7, nullptr) / 1024.0;
+    }
+    return 0.0;
+}
+
+TEST(ServerEndToEnd, FinishedConnectionHandlersAreReaped)
+{
+    // Each connection gets a handler thread with its own stack; a
+    // handler left unjoined after its connection closes keeps that
+    // stack mapped, so sequential connections would grow the
+    // daemon's address space without bound.
+    ServerConfig cfg;
+    cfg.port = 0;
+    cfg.scheduler.workers = 1;
+    std::string error;
+    RealignServer srv(cfg);
+    ASSERT_TRUE(srv.start(&error)) << error;
+    std::thread server_thread([&] { srv.serve(); });
+
+    const double before = vmSizeMb();
+    ASSERT_GT(before, 0.0) << "no VmSize in /proc/self/status";
+    Response resp;
+    for (int i = 0; i < 200; ++i) {
+        ServerClient client;
+        ASSERT_TRUE(client.connect("127.0.0.1", srv.port(), &error))
+            << "connection " << i << ": " << error;
+        ASSERT_TRUE(client.ping(&resp, &error))
+            << "connection " << i << ": " << error;
+        ASSERT_TRUE(resp.ok);
+    }
+    const double growth = vmSizeMb() - before;
+    EXPECT_LT(growth, 256.0)
+        << "VmSize grew " << growth << " MB over 200 connections";
+
+    ServerClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", srv.port(), &error))
+        << error;
+    ASSERT_TRUE(client.shutdown(true, &resp, &error)) << error;
+    server_thread.join();
 }
 
 } // namespace

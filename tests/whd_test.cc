@@ -311,10 +311,10 @@ expectSweepBitEqual(const uint8_t *cons, size_t m,
 
 TEST(DispatchSweep, BitEqualOnLaneBoundaryShapes)
 {
-    // Offset counts straddle the 16-lane blocks of the unpruned
-    // sweeps (full blocks, scalar tails, tail-only); read lengths
-    // straddle the pruned block sizes (8 generic, 32 AVX2) and the
-    // datapath chunk widths.
+    // Offset counts straddle the 16-lane blocks of the AVX2 sweeps
+    // (full blocks, scalar tails, tail-only); read lengths straddle
+    // the 32-base AVX2 pruned block and the datapath chunk widths
+    // (8 and 32).
     const size_t offset_counts[] = {1, 2, 15, 16, 17, 32, 33, 40};
     const size_t read_lens[] = {1, 7, 8, 9, 16, 31, 32, 33, 100};
     Rng rng(0xD15B);
@@ -351,7 +351,7 @@ TEST(DispatchSweep, BitEqualOnLaneBoundaryShapes)
 
 /**
  * expectSweepBitEqual() on copies of cons/read/qual in exact-size
- * heap buffers: the vector kernels' 16-byte lane loads and
+ * heap buffers: the AVX2 kernel's 16-byte lane loads and
  * overlapping 32-byte tail windows end exactly at the last byte, so
  * under ASan any read past it fails the test.
  */

@@ -16,8 +16,11 @@
  * and gates the per-key median, so one noisy repetition cannot
  * fail the gate on its own; fig9_speedup runs once (its gated
  * values are deterministic counters plus generously-slacked
- * seconds).  `--write-baseline` stores one run's report verbatim:
- * a baseline is real measured output, never a hand-edited file.
+ * seconds).  `--write-baseline` runs the same repetitions and
+ * stores the last run's report with its values replaced by the
+ * per-key medians (obs::medianValues), so one noisy run does
+ * not set the baseline either: a baseline is real measured output,
+ * never a hand-edited file.
  */
 
 #include <cstdio>
@@ -45,7 +48,7 @@ struct Suite
     const char *env;
     /** Extra arguments after --json <path>. */
     const char *extraArgs;
-    /** Repetitions honoured in --check mode. */
+    /** Whether --repeat applies (otherwise the suite runs once). */
     bool repeats;
     std::vector<obs::GateRule> rules;
 };
@@ -99,10 +102,14 @@ readFile(const std::string &path, std::string *out)
     return true;
 }
 
-/** Runs one bench repetition; fills *values from its report. */
+/**
+ * Runs one bench repetition; fills *values from its report and
+ * *text with the report itself.
+ */
 bool
 runSuiteOnce(const Suite &suite, const std::string &bench_dir,
-             int rep, std::map<std::string, double> *values)
+             int rep, std::map<std::string, double> *values,
+             std::string *text)
 {
     std::string tmp = "/tmp/iracc_bench_" +
                       std::string(suite.binary) + "_" +
@@ -118,35 +125,92 @@ runSuiteOnce(const Suite &suite, const std::string &bench_dir,
                      cmd.c_str());
         return false;
     }
-    std::string text, error;
-    if (!readFile(tmp, &text)) {
+    std::string error;
+    if (!readFile(tmp, text)) {
         std::fprintf(stderr, "error: bench wrote no report: %s\n",
                      tmp.c_str());
         return false;
     }
-    if (!obs::parseBenchValues(text, suite.binary, values, &error)) {
+    if (!obs::parseBenchValues(*text, suite.binary, values, &error)) {
         std::fprintf(stderr, "error: %s: %s\n", tmp.c_str(),
                      error.c_str());
         return false;
     }
     std::remove(tmp.c_str());
-    // Keep the raw report of the last repetition for
-    // --write-baseline (verbatim, not reconstructed).
-    std::ofstream keep("/tmp/iracc_bench_last.json");
-    keep << text;
+    return true;
+}
+
+/**
+ * Runs the suite @p repeat times (once unless it repeats); *text is
+ * the last run's report.
+ */
+bool
+runSuite(const Suite &suite, const std::string &bench_dir,
+         int repeat, std::vector<std::map<std::string, double>> *runs,
+         std::string *text)
+{
+    const int reps = suite.repeats ? repeat : 1;
+    for (int rep = 0; rep < reps; ++rep) {
+        std::map<std::string, double> values;
+        if (!runSuiteOnce(suite, bench_dir, rep, &values, text))
+            return false;
+        runs->push_back(std::move(values));
+    }
+    return true;
+}
+
+/**
+ * The last run's report with each member of its "values" object
+ * replaced by that key's median over @p runs.  BenchReport::write
+ * emits "values" before any nested object, as `"key":number`
+ * members, so its span is the first `"values":{` up to the next '}'.
+ */
+bool
+medianReport(const std::string &text,
+             const std::vector<std::map<std::string, double>> &runs,
+             std::string *out)
+{
+    const std::string tag = "\"values\":{";
+    const size_t open = text.find(tag);
+    const size_t close = text.find('}', open);
+    if (open == std::string::npos || close == std::string::npos)
+        return false;
+    const std::map<std::string, double> medians =
+        obs::medianValues(runs);
+    std::istringstream members(
+        text.substr(open + tag.size(), close - open - tag.size()));
+    std::ostringstream values;
+    std::string member;
+    for (const char *sep = ""; std::getline(members, member, ',');
+         sep = ",") {
+        const size_t colon = member.rfind(':');
+        if (colon == std::string::npos || colon < 2)
+            return false;
+        auto median = medians.find(member.substr(1, colon - 2));
+        if (median == medians.end())
+            return false;
+        values << sep << member.substr(0, colon + 1) << median->second;
+    }
+    *out = text.substr(0, open + tag.size()) + values.str() +
+           text.substr(close);
     return true;
 }
 
 bool
 writeBaseline(const Suite &suite, const std::string &bench_dir,
-              const std::string &baseline_dir)
+              const std::string &baseline_dir, int repeat)
 {
-    std::map<std::string, double> values;
-    if (!runSuiteOnce(suite, bench_dir, 0, &values))
+    std::vector<std::map<std::string, double>> runs;
+    std::string text, merged;
+    if (!runSuite(suite, bench_dir, repeat, &runs, &text))
         return false;
-    std::string text;
-    if (!readFile("/tmp/iracc_bench_last.json", &text))
+    if (!medianReport(text, runs, &merged)) {
+        std::fprintf(stderr,
+                     "error: %s: a values key is missing from a "
+                     "run\n",
+                     suite.binary);
         return false;
+    }
     std::string path = baseline_dir + "/" + suite.baseline;
     std::ofstream out(path);
     if (!out) {
@@ -154,9 +218,9 @@ writeBaseline(const Suite &suite, const std::string &bench_dir,
                      path.c_str());
         return false;
     }
-    out << text;
-    std::printf("  wrote %s (%zu values)\n", path.c_str(),
-                values.size());
+    out << merged;
+    std::printf("  wrote %s (%zu values, median of %zu runs)\n",
+                path.c_str(), runs.front().size(), runs.size());
     return true;
 }
 
@@ -182,14 +246,10 @@ checkSuite(const Suite &suite, const std::string &bench_dir,
         return false;
     }
 
-    int reps = suite.repeats ? repeat : 1;
     std::vector<std::map<std::string, double>> runs;
-    for (int rep = 0; rep < reps; ++rep) {
-        std::map<std::string, double> values;
-        if (!runSuiteOnce(suite, bench_dir, rep, &values))
-            return false;
-        runs.push_back(std::move(values));
-    }
+    std::string last_report;
+    if (!runSuite(suite, bench_dir, repeat, &runs, &last_report))
+        return false;
 
     std::vector<obs::GateRule> rules = suite.rules;
     obs::scaleGateSlack(rules, slack_factor);
@@ -291,7 +351,8 @@ main(int argc, char **argv)
         std::printf("%s %s:\n",
                     write ? "baselining" : "checking",
                     suite.binary);
-        ok &= write ? writeBaseline(suite, bench_dir, baseline_dir)
+        ok &= write ? writeBaseline(suite, bench_dir, baseline_dir,
+                                    repeat)
                     : checkSuite(suite, bench_dir, baseline_dir,
                                  repeat, slack_factor, portable);
     }
