@@ -145,16 +145,18 @@ main(int argc, char **argv)
     cfg.perfCounters = true;
     cfg.perfTrace = !trace_path.empty();
 
-    FpgaSystem sync_sys(cfg);
-    ScheduleResult sync_res = scheduleTargets(
-        sync_sys, targets, SchedulePolicy::SynchronousParallel);
+    CardFleet sync_card(FleetConfig::singleCard(cfg));
+    FleetLease sync_lease = sync_card.lease();
+    ScheduleResult sync_res = scheduleFleetTargets(
+        sync_lease, targets, SchedulePolicy::SynchronousParallel);
     printTimeline("SYNCHRONOUS-PARALLEL (Figure 7 top)", sync_res,
                   cfg.clockMhz);
     printCounters("SYNCHRONOUS-PARALLEL", sync_res);
 
-    FpgaSystem async_sys(cfg);
-    ScheduleResult async_res = scheduleTargets(
-        async_sys, targets, SchedulePolicy::AsynchronousParallel);
+    CardFleet async_card(FleetConfig::singleCard(cfg));
+    FleetLease async_lease = async_card.lease();
+    ScheduleResult async_res = scheduleFleetTargets(
+        async_lease, targets, SchedulePolicy::AsynchronousParallel);
     printTimeline("ASYNCHRONOUS-PARALLEL (Figure 7 bottom)",
                   async_res, cfg.clockMhz);
     printCounters("ASYNCHRONOUS-PARALLEL", async_res);

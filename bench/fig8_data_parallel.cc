@@ -92,9 +92,10 @@ main(int argc, char **argv)
         AccelConfig cfg = AccelConfig::paperOptimized();
         cfg.dataParallelWidth = width;
         cfg.perfCounters = true;
-        FpgaSystem sys(cfg);
-        ScheduleResult res = scheduleTargets(
-            sys, targets, SchedulePolicy::AsynchronousParallel);
+        CardFleet fleet(FleetConfig::singleCard(cfg));
+        FleetLease lease = fleet.lease();
+        ScheduleResult res = scheduleFleetTargets(
+            lease, targets, SchedulePolicy::AsynchronousParallel);
         uint64_t compute = 0, load = 0;
         for (const auto &u : res.perf.units) {
             compute += u.computeCycles;

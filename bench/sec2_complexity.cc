@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "bench_common.hh"
+#include "core/realign_job.hh"
 #include "core/realigner_api.hh"
 #include "core/workload.hh"
 #include "realign/limits.hh"
@@ -47,8 +48,8 @@ main(int argc, char **argv)
                  "ActualCmp(unpruned)"});
     SoftwareRealignerConfig cfg;
     cfg.prune = false;
-    auto realigner = makeSoftwareBackend(
-        "gatk3-unpruned", "unpruned software IR, 1 thread", cfg);
+    RealignSession realigner(makeSoftwareBackend(
+        "gatk3-unpruned", "unpruned software IR, 1 thread", cfg));
 
     uint64_t total_targets = 0;
     for (const auto &chr : wl.chromosomes) {
@@ -65,7 +66,7 @@ main(int argc, char **argv)
         }
         std::vector<Read> reads = chr.reads;
         RealignStats stats =
-            realigner->realignContig(wl.reference, chr.contig, reads)
+            realigner.runContig(wl.reference, chr.contig, reads)
                 .stats;
         total_targets += stats.targets;
         table.addRow({"Ch" + std::to_string(chr.number),

@@ -17,6 +17,7 @@
 #include <cstdlib>
 
 #include "accel/resource_model.hh"
+#include "core/realign_job.hh"
 #include "core/realigner_api.hh"
 #include "core/workload.hh"
 #include "util/logging.hh"
@@ -68,12 +69,14 @@ main(int argc, char **argv)
 
                     ResourceEstimate res = estimateResources(cfg);
                     std::vector<Read> reads = chr.reads;
-                    BackendRunResult run =
-                        makeAcceleratedBackend("explore",
-                                               "design point", cfg,
-                                               sched)
-                            ->realignContig(wl.reference,
-                                            chr.contig, reads);
+                    RealignJobResult job =
+                        RealignSession(
+                            makeAcceleratedBackend("explore",
+                                                   "design point",
+                                                   cfg, sched))
+                            .runContig(wl.reference, chr.contig,
+                                       reads);
+                    const BackendRunResult &run = job.contigs[0].run;
 
                     bool is_paper = units == 32 && width == 32 &&
                         prune &&

@@ -120,19 +120,17 @@ ReadAligner::alignRead(Read &read)
 uint32_t
 ReadAligner::alignAll(std::vector<Read> &reads)
 {
-    Timer total;
     const AlignerStageTimes before = times;
     obs::ScopedSpan span(obsv, "align batch", "align");
     uint32_t aligned = 0;
     for (Read &read : reads)
         aligned += alignRead(read) ? 1 : 0;
-    span.close();
+    const double elapsed = span.close();
     const double stage_delta = times.smemSeconds +
         times.lookupSeconds + times.extendSeconds +
         times.outputSeconds -
         (before.smemSeconds + before.lookupSeconds +
          before.extendSeconds + before.outputSeconds);
-    double elapsed = total.seconds();
     if (elapsed > stage_delta)
         times.otherSeconds += elapsed - stage_delta;
 

@@ -14,6 +14,45 @@
 
 namespace iracc {
 
+namespace {
+
+/**
+ * Fold one contig's result into @p job and append it to
+ * `job.contigs`.  The job barrier (ascending contig order) and the
+ * streaming run (stream order) both reduce through this one
+ * function, so for an ascending stream the streamed job's
+ * accounting equals the in-memory job's however the stream was
+ * cut into groups.
+ */
+void
+foldContig(RealignJobResult &job, ContigJobResult &&c)
+{
+    const BackendRunResult &run = c.run;
+    job.stats.merge(run.stats);
+    job.seconds += run.seconds;
+    job.criticalPathSeconds =
+        std::max(job.criticalPathSeconds, run.seconds);
+    job.fpgaSeconds += run.fpgaSeconds;
+    job.simulated = job.simulated || run.simulated;
+    // Fleet runs already span one pid per card; stride the contig
+    // id so merged traces keep one process per (contig, card).
+    // Single-card runs keep pid = contig.
+    job.perf.merge(run.perf, static_cast<uint32_t>(c.contig),
+                   run.perf.pidSpan > 1 ? run.perf.pidSpan : 0);
+    job.fleet.merge(run.fleet);
+    job.recovery.merge(run.recovery);
+    job.targetLatencyCycles.merge(run.targetLatencyCycles);
+    job.targetLatencyNanos.merge(run.targetLatencyNanos);
+    job.status = worseStatus(job.status, run.status);
+    if (run.status == RunStatus::Degraded)
+        job.degradedContigs.push_back(c.contig);
+    else if (run.status == RunStatus::Failed)
+        job.failedContigs.push_back(c.contig);
+    job.contigs.push_back(std::move(c));
+}
+
+} // namespace
+
 RealignSession::RealignSession(
     std::unique_ptr<const RealignerBackend> backend,
     RealignJobConfig config)
@@ -202,35 +241,13 @@ RealignSession::run(const ReferenceGenome &ref,
             .add(order.size());
 
     // Barrier reached: deterministic in-order reduction.
-    job.contigs = std::move(slots);
-    for (size_t i = 0; i < job.contigs.size(); ++i) {
-        if (!skipped[i])
-            continue;
-        job.cancelled = true;
-        job.skippedContigs.push_back(job.contigs[i].contig);
-    }
-    for (const ContigJobResult &c : job.contigs) {
-        job.stats.merge(c.run.stats);
-        job.seconds += c.run.seconds;
-        job.criticalPathSeconds =
-            std::max(job.criticalPathSeconds, c.run.seconds);
-        job.fpgaSeconds += c.run.fpgaSeconds;
-        job.simulated = job.simulated || c.run.simulated;
-        // Fleet runs already span one pid per card; stride the
-        // contig id so merged traces keep one process per
-        // (contig, card).  Single-card runs keep pid = contig.
-        job.perf.merge(c.run.perf, static_cast<uint32_t>(c.contig),
-                       c.run.perf.pidSpan > 1 ? c.run.perf.pidSpan
-                                              : 0);
-        job.fleet.merge(c.run.fleet);
-        job.recovery.merge(c.run.recovery);
-        job.targetLatencyCycles.merge(c.run.targetLatencyCycles);
-        job.targetLatencyNanos.merge(c.run.targetLatencyNanos);
-        job.status = worseStatus(job.status, c.run.status);
-        if (c.run.status == RunStatus::Degraded)
-            job.degradedContigs.push_back(c.contig);
-        else if (c.run.status == RunStatus::Failed)
-            job.failedContigs.push_back(c.contig);
+    job.contigs.reserve(slots.size());
+    for (size_t i = 0; i < slots.size(); ++i) {
+        if (skipped[i]) {
+            job.cancelled = true;
+            job.skippedContigs.push_back(slots[i].contig);
+        }
+        foldContig(job, std::move(slots[i]));
     }
     if (job.cancelled) {
         obs::frEmit(obs::FrSeverity::Warn, obs::FrCategory::Job,
@@ -269,49 +286,6 @@ RealignSession::runContig(const ReferenceGenome &ref, int32_t contig,
 {
     return run(ref, std::vector<int32_t>{contig}, reads);
 }
-
-namespace {
-
-/**
- * Fold one group's job result into the streaming aggregate.  Every
- * component reduction is commutative and associative (counters add,
- * statuses take the worst, histograms add bucket counts), so the
- * aggregate is independent of how the stream was cut into groups --
- * the heart of the streaming/in-memory bit-equality contract.
- */
-void
-mergeJobResult(RealignJobResult *agg, RealignJobResult &&part)
-{
-    for (ContigJobResult &c : part.contigs)
-        agg->contigs.push_back(std::move(c));
-    agg->stats.merge(part.stats);
-    agg->seconds += part.seconds;
-    agg->wallSeconds += part.wallSeconds;
-    agg->criticalPathSeconds =
-        std::max(agg->criticalPathSeconds, part.criticalPathSeconds);
-    agg->fpgaSeconds += part.fpgaSeconds;
-    agg->simulated = agg->simulated || part.simulated;
-    // trace_pid 0 with stride 1 appends part's trace events with
-    // their per-contig pids intact.
-    agg->perf.merge(part.perf, 0, 1);
-    agg->perf.pidSpan = std::max(agg->perf.pidSpan, part.perf.pidSpan);
-    agg->fleet.merge(part.fleet);
-    agg->recovery.merge(part.recovery);
-    agg->targetLatencyCycles.merge(part.targetLatencyCycles);
-    agg->targetLatencyNanos.merge(part.targetLatencyNanos);
-    agg->status = worseStatus(agg->status, part.status);
-    for (int32_t c : part.degradedContigs)
-        agg->degradedContigs.push_back(c);
-    for (int32_t c : part.failedContigs)
-        agg->failedContigs.push_back(c);
-    agg->cancelled = agg->cancelled || part.cancelled;
-    for (int32_t c : part.skippedContigs)
-        agg->skippedContigs.push_back(c);
-    if (!part.postmortemPath.empty())
-        agg->postmortemPath = part.postmortemPath;
-}
-
-} // namespace
 
 StreamRealignResult
 RealignSession::runStreamed(
@@ -384,8 +358,15 @@ RealignSession::runStreamed(
                     job_cfg.onProgress(q);
                 };
         }
-        mergeJobResult(&out.job,
-                       run(ref, contigs, reads, groupCfg));
+        RealignJobResult group = run(ref, contigs, reads, groupCfg);
+        for (ContigJobResult &c : group.contigs)
+            foldContig(out.job, std::move(c));
+        out.job.cancelled = out.job.cancelled || group.cancelled;
+        out.job.skippedContigs.insert(out.job.skippedContigs.end(),
+                                      group.skippedContigs.begin(),
+                                      group.skippedContigs.end());
+        if (!group.postmortemPath.empty())
+            out.job.postmortemPath = group.postmortemPath;
         contigsDoneBefore += contigs.size();
         out.readsStreamed += reads.size();
         sink(reads);

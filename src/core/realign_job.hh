@@ -14,8 +14,11 @@
  * bit-identical for any thread count, card count, and stealing
  * setting (asserted by tests/realign_job_test.cc).
  *
- * RealignerBackend::realignContig is a thin shim over a
- * one-contig job, so existing per-contig callers keep working.
+ * The session is the one contig driver: per-contig callers use
+ * runContig, a one-contig job.  Each contig's BackendRunResult
+ * (core/stage_pipeline.hh) is the one run record, and run() and
+ * runStreamed() reduce those records into the RealignJobResult
+ * through one fold, contig by contig in processing order.
  */
 
 #ifndef IRACC_CORE_REALIGN_JOB_HH
@@ -295,7 +298,9 @@ class RealignSession
                          std::vector<Read> &reads,
                          const RealignJobConfig &job_cfg) const;
 
-    /** One-contig convenience (what the realignContig shim uses). */
+    /** Realign one contig: a one-contig run().  Per-run device
+     *  figures (dmaFraction, unitUtilization) are in
+     *  `contigs[0].run`. */
     RealignJobResult runContig(const ReferenceGenome &ref,
                                int32_t contig,
                                std::vector<Read> &reads) const;
@@ -314,8 +319,11 @@ class RealignSession
      * the sink payloads reproduces the in-memory run's realigned
      * read sequence byte for byte, and the merged RealignStats are
      * identical -- per-contig results depend only on (seed, contig)
-     * and the stats reduction is purely additive, so the grouping
-     * is unobservable in the output.
+     * and both runs reduce them through one per-contig fold.  When
+     * the contigs arrive in ascending order the fold order is the
+     * in-memory run's too, so the job accounting (summed
+     * fpgaSeconds included) is identical as well and the grouping
+     * is unobservable.
      *
      * Differences from run(): progress callbacks report
      * contigsTotal as the count of contigs *seen so far* (a lower

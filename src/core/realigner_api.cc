@@ -133,16 +133,6 @@ accelRegistryEntry(const std::string &name, AccelRegistryEntry *out)
 
 } // anonymous namespace
 
-BackendRunResult
-RealignerBackend::realignContig(const ReferenceGenome &ref,
-                                int32_t contig,
-                                std::vector<Read> &reads) const
-{
-    auto exec = makeExecuteStage(1);
-    return runContigPipeline(ref, contig, reads, targetParams(),
-                             *exec, hostThreads());
-}
-
 std::unique_ptr<RealignerBackend>
 makeSoftwareBackend(std::string name, std::string description,
                     SoftwareRealignerConfig config)

@@ -26,10 +26,10 @@
  *
  * Every backend is a bundle of stage-pipeline pieces (see
  * core/stage_pipeline.hh): all backends share Plan / Prepare /
- * Apply and differ only in the Execute stage they provide.  The
- * per-contig realignContig call is a thin shim over a one-contig
- * RealignJob (core/realign_job.hh); genome-wide callers should
- * use a RealignSession directly.
+ * Apply and differ only in the Execute stage they provide.  A
+ * backend runs through a RealignSession (core/realign_job.hh),
+ * which drives whole read sets and single contigs
+ * (RealignSession::runContig) alike.
  */
 
 #ifndef IRACC_CORE_REALIGNER_API_HH
@@ -85,16 +85,6 @@ class RealignerBackend
      * the shape and the per-card FaultPlans from it.
      */
     virtual const FleetConfig *fleetShape() const { return nullptr; }
-
-    /**
-     * Realign one contig's reads in place -- a thin shim that
-     * drives a one-contig staged pipeline (Plan -> Prepare ->
-     * Execute -> Apply).  Genome-wide callers should prefer
-     * RealignSession (core/realign_job.hh).
-     */
-    BackendRunResult realignContig(const ReferenceGenome &ref,
-                                   int32_t contig,
-                                   std::vector<Read> &reads) const;
 };
 
 /**

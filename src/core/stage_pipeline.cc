@@ -9,59 +9,58 @@
 
 namespace iracc {
 
-ExecuteOutcome
+std::vector<ConsensusDecision>
 SoftwareExecuteStage::execute(const PreparedContig &prepared,
-                              uint64_t rng_seed)
+                              uint64_t rng_seed, BackendRunResult &run)
 {
-    ExecuteOutcome out;
     Timer t;
-
-    out.decisions =
-        executeStageSoftware(prepared, cfg, rng_seed, &out.whd);
-    out.seconds = t.seconds();
-    out.simulated = false;
-    return out;
+    std::vector<ConsensusDecision> decisions =
+        executeStageSoftware(prepared, cfg, rng_seed, &run.stats.whd);
+    run.stageTimes.executeSeconds = t.seconds();
+    return decisions;
 }
 
-ExecuteOutcome
+std::vector<ConsensusDecision>
 AcceleratedExecuteStage::execute(const PreparedContig &prepared,
-                                 uint64_t rng_seed)
+                                 uint64_t rng_seed,
+                                 BackendRunResult &run)
 {
     (void)rng_seed; // the accelerated datapath is RNG-free
     panic_if(prepared.marshalled.size() != prepared.inputs.size(),
              "accelerated Execute stage needs marshalled targets "
              "(prepareStage(..., marshal=true))");
     FleetLease lease = fleet.lease();
-    ScheduleResult run = scheduleFleetTargets(
+    ScheduleResult sched = scheduleFleetTargets(
         lease, prepared.marshalled, policy, harden);
 
     // Translate raw accelerator outputs into decisions (host work,
     // measured separately from the simulated FPGA time).
-    ExecuteOutcome out;
     Timer host_timer;
-    out.decisions.reserve(prepared.inputs.size());
+    std::vector<ConsensusDecision> decisions;
+    decisions.reserve(prepared.inputs.size());
     for (size_t t = 0; t < prepared.inputs.size(); ++t) {
-        const IrComputeResult &res = run.results[t];
-        out.decisions.push_back(outputToDecision(
+        const IrComputeResult &res = sched.results[t];
+        decisions.push_back(outputToDecision(
             prepared.inputs[t], res.bestConsensus, res.output));
     }
-    out.whd = run.fpga.whd;
-    out.seconds = run.fpgaSeconds + host_timer.seconds();
-    out.simulated = true;
-    out.fpgaSeconds = run.fpgaSeconds;
-    out.unitUtilization = run.fpga.meanUnitUtilization;
-    if (run.makespan > 0) {
-        out.dmaFraction =
-            static_cast<double>(run.fpga.dmaBusyCycles) /
-            static_cast<double>(run.makespan);
+    run.stats.whd = sched.fpga.whd;
+    run.stageTimes.executeSeconds =
+        sched.fpgaSeconds + host_timer.seconds();
+    run.simulated = true;
+    run.fpgaSeconds = sched.fpgaSeconds;
+    run.unitUtilization = sched.fpga.meanUnitUtilization;
+    if (sched.makespan > 0) {
+        run.dmaFraction =
+            static_cast<double>(sched.fpga.dmaBusyCycles) /
+            static_cast<double>(sched.makespan);
     }
-    out.perf = std::move(run.perf);
-    out.recovery = run.recovery;
-    out.status = run.status;
-    out.fleet = std::move(run.fleet);
-    out.targetLatencyCycles = run.targetLatencyCycles;
-    out.targetLatencyNanos = run.targetLatencyNanos;
-    return out;
+    run.perf = std::move(sched.perf);
+    run.recovery = sched.recovery;
+    run.status = sched.status;
+    run.fleet = std::move(sched.fleet);
+    run.targetLatencyCycles = std::move(sched.targetLatencyCycles);
+    run.targetLatencyNanos = std::move(sched.targetLatencyNanos);
+    return decisions;
 }
 
 BackendRunResult
@@ -73,54 +72,47 @@ runContigPipeline(const ReferenceGenome &ref, int32_t contig,
                   uint64_t rng_seed, obs::Observability *obsv)
 {
     BackendRunResult out;
-    Timer t;
 
     // Plan: target creation + read claiming (no mutation).
     obs::ScopedSpan plan_span(obsv, "plan", "realign");
     ContigPlan plan = planStage(ref, contig, reads, targets,
                                 candidates);
-    plan_span.close();
-    out.stageTimes.planSeconds = t.seconds();
+    out.stageTimes.planSeconds = plan_span.close();
     obs::frEmit(obs::FrSeverity::Debug, obs::FrCategory::Stage,
                 obs::FrCode::StagePlan, 0, -1, plan.targets.size());
 
     // Prepare: consensus generation (+ marshalling when the
     // Execute stage consumes byte images).
-    t.restart();
     obs::ScopedSpan prepare_span(obsv, "prepare", "realign");
     PreparedContig prepared =
         prepareStage(ref, reads, plan,
                      exec.needsMarshalledTargets(), prepare_threads);
-    prepare_span.close();
-    out.stageTimes.prepareSeconds = t.seconds();
+    out.stageTimes.prepareSeconds = prepare_span.close();
     obs::frEmit(obs::FrSeverity::Debug, obs::FrCategory::Stage,
                 obs::FrCode::StagePrepare, 0, -1,
                 prepared.inputs.size());
 
-    // Execute: the backend-specific kernel.  The span records host
-    // wall-clock of the call (for accelerated backends that is the
-    // simulation run); the histogram below records the modeled
-    // stage seconds that StageTimes reports.
+    // Execute: the backend-specific kernel, which records its own
+    // stage seconds and device accounting in `out`.  The span
+    // records host wall-clock of the call (for accelerated
+    // backends that is the simulation run); the histogram below
+    // records the modeled stage seconds that StageTimes reports.
     obs::ScopedSpan exec_span(obsv, "execute", "realign");
-    ExecuteOutcome outcome = exec.execute(prepared, rng_seed);
+    std::vector<ConsensusDecision> decisions =
+        exec.execute(prepared, rng_seed, out);
     exec_span.close();
-    out.stageTimes.executeSeconds = outcome.seconds;
     obs::frEmit(obs::FrSeverity::Debug, obs::FrCategory::Stage,
                 obs::FrCode::StageExecute, 0, -1,
-                prepared.inputs.size(),
-                outcome.targetLatencyCycles.max());
+                prepared.inputs.size(), out.targetLatencyCycles.max());
 
-    // Apply: decision writeback + stats assembly.
-    t.restart();
+    // Apply: decision writeback + stats assembly (the kernel's
+    // WhdStats are already in out.stats).
     obs::ScopedSpan apply_span(obsv, "apply", "realign");
-    out.stats = applyStage(prepared, outcome.decisions, reads);
-    apply_span.close();
-    out.stageTimes.applySeconds = t.seconds();
+    out.stats.merge(applyStage(prepared, decisions, reads));
+    out.stageTimes.applySeconds = apply_span.close();
     obs::frEmit(obs::FrSeverity::Debug, obs::FrCategory::Stage,
                 obs::FrCode::StageApply, 0, -1,
                 out.stats.readsRealigned);
-
-    out.stats.whd = outcome.whd;
 
     if (obsv && obsv->metrics) {
         obs::MetricsRegistry &reg = *obsv->metrics;
@@ -142,7 +134,7 @@ runContigPipeline(const ReferenceGenome &ref, int32_t contig,
 
         // Fault/recovery counters, only when something happened so
         // fault-free runs keep a clean registry.
-        const RecoveryStats &rec = outcome.recovery;
+        const RecoveryStats &rec = out.recovery;
         if (rec.faultsInjected > 0) {
             reg.counter("fault.injected").add(rec.faultsInjected);
             for (size_t k = 0; k < kNumFaultKinds; ++k) {
@@ -172,41 +164,32 @@ runContigPipeline(const ReferenceGenome &ref, int32_t contig,
         count("fault.stale_responses", rec.staleResponses);
         count("fault.failed_targets", rec.failedTargets);
         count("realign.contigs_degraded",
-              outcome.status == RunStatus::Degraded ? 1 : 0);
+              out.status == RunStatus::Degraded ? 1 : 0);
         count("realign.contigs_failed",
-              outcome.status == RunStatus::Failed ? 1 : 0);
+              out.status == RunStatus::Failed ? 1 : 0);
 
         // Per-target latency percentiles (accelerated backends
         // only): exact merge into the job-wide distributions.
-        if (outcome.targetLatencyCycles.count() > 0) {
+        if (out.targetLatencyCycles.count() > 0) {
             reg.latency("realign.target.latency_cycles")
-                .merge(outcome.targetLatencyCycles);
+                .merge(out.targetLatencyCycles);
             reg.latency("realign.target.latency_ns")
-                .merge(outcome.targetLatencyNanos);
+                .merge(out.targetLatencyNanos);
         }
 
         // Fleet dispatch accounting (accelerated backends only).
-        if (outcome.fleet.enabled()) {
+        if (out.fleet.enabled()) {
             reg.counter("fleet.card_busy_cycles")
-                .add(outcome.fleet.busyCycles());
-            count("fleet.steals", outcome.fleet.steals());
-            count("fleet.migrations", outcome.fleet.migrations());
+                .add(out.fleet.busyCycles());
+            count("fleet.steals", out.fleet.steals());
+            count("fleet.migrations", out.fleet.migrations());
             obs::LatencyMetric &depth = reg.latency("fleet.queue_depth");
-            for (const FleetCardExecStats &c : outcome.fleet.cards)
+            for (const FleetCardExecStats &c : out.fleet.cards)
                 depth.record(c.shards);
         }
     }
-    out.seconds = out.stageTimes.hostSeconds() + outcome.seconds;
-    out.simulated = outcome.simulated;
-    out.fpgaSeconds = outcome.fpgaSeconds;
-    out.dmaFraction = outcome.dmaFraction;
-    out.unitUtilization = outcome.unitUtilization;
-    out.perf = std::move(outcome.perf);
-    out.recovery = outcome.recovery;
-    out.status = outcome.status;
-    out.fleet = std::move(outcome.fleet);
-    out.targetLatencyCycles = outcome.targetLatencyCycles;
-    out.targetLatencyNanos = outcome.targetLatencyNanos;
+    out.seconds = out.stageTimes.hostSeconds() +
+                  out.stageTimes.executeSeconds;
     return out;
 }
 

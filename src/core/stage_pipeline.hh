@@ -108,43 +108,6 @@ struct BackendRunResult
     obs::LatencyHistogram targetLatencyNanos;
 };
 
-/** Uniform outcome of a backend's Execute stage. */
-struct ExecuteOutcome
-{
-    /** One decision per prepared target, index-aligned. */
-    std::vector<ConsensusDecision> decisions;
-
-    /** Kernel work counters of the stage. */
-    WhdStats whd;
-
-    /**
-     * Execute-stage seconds: measured wall-clock for software,
-     * simulated FPGA time plus output-conversion host time for
-     * accelerated backends.
-     */
-    double seconds = 0.0;
-
-    /** True when `seconds` came from the cycle-level simulator. */
-    bool simulated = false;
-
-    double fpgaSeconds = 0.0;
-    double dmaFraction = 0.0;
-    double unitUtilization = 0.0;
-    PerfReport perf;
-
-    /** Hardened backends: recovery counters and run health. */
-    RecoveryStats recovery;
-    RunStatus status = RunStatus::Ok;
-
-    /** Accelerated backends: per-card fleet accounting. */
-    FleetExecStats fleet;
-
-    /** Accelerated backends: always-on per-target latency from
-     *  dispatch to completion (cycle domain + modeled ns). */
-    obs::LatencyHistogram targetLatencyCycles;
-    obs::LatencyHistogram targetLatencyNanos;
-};
-
 /**
  * The per-backend Execute stage.  Instances are created per
  * contig (RealignerBackend::makeExecuteStage), so a stage may
@@ -159,13 +122,20 @@ class ExecuteStage
     virtual bool needsMarshalledTargets() const = 0;
 
     /**
-     * Run the kernel over every prepared target.
+     * Run the kernel over every prepared target and record the
+     * stage's accounting in @p run: `stats.whd`,
+     * `stageTimes.executeSeconds` (measured wall-clock for
+     * software; simulated FPGA time plus output-conversion host
+     * time for accelerated backends), and -- accelerated backends
+     * only -- `simulated` and the device fields.
      *
      * @param rng_seed base seed of this run's deterministic RNG
      *        streams (per-contig streams are derived from it)
+     * @return one decision per prepared target, index-aligned
      */
-    virtual ExecuteOutcome execute(const PreparedContig &prepared,
-                                   uint64_t rng_seed) = 0;
+    virtual std::vector<ConsensusDecision>
+    execute(const PreparedContig &prepared, uint64_t rng_seed,
+            BackendRunResult &run) = 0;
 };
 
 /** Execute stage of the software baselines (WHD kernel on host). */
@@ -179,8 +149,9 @@ class SoftwareExecuteStage : public ExecuteStage
 
     bool needsMarshalledTargets() const override { return false; }
 
-    ExecuteOutcome execute(const PreparedContig &prepared,
-                           uint64_t rng_seed) override;
+    std::vector<ConsensusDecision>
+    execute(const PreparedContig &prepared, uint64_t rng_seed,
+            BackendRunResult &run) override;
 
     const SoftwareRealignerConfig &config() const { return cfg; }
 
@@ -208,8 +179,9 @@ class AcceleratedExecuteStage : public ExecuteStage
 
     bool needsMarshalledTargets() const override { return true; }
 
-    ExecuteOutcome execute(const PreparedContig &prepared,
-                           uint64_t rng_seed) override;
+    std::vector<ConsensusDecision>
+    execute(const PreparedContig &prepared, uint64_t rng_seed,
+            BackendRunResult &run) override;
 
   private:
     const CardFleet &fleet;

@@ -747,30 +747,6 @@ foldFleetStats(FpgaRunStats &agg, const FpgaRunStats &card, bool first)
 } // anonymous namespace
 
 ScheduleResult
-scheduleTargets(FpgaSystem &sys,
-                const std::vector<MarshalledTarget> &targets,
-                SchedulePolicy policy)
-{
-    ScheduleResult out;
-    out.results.resize(targets.size());
-    std::vector<IrComputeResult> precomputed =
-        precomputeResults(sys.config(), targets);
-    std::vector<size_t> order(targets.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    RunContext ctx{targets, precomputed, policy, nullptr, out};
-    CardRun run(ctx, sys, 0, order, false, false);
-    run.drive();
-
-    out.makespan = sys.now();
-    out.fpgaSeconds = sys.cyclesToSeconds(out.makespan);
-    out.timeline = sys.timeline();
-    out.fpga = sys.stats();
-    out.targetLatencyCycles = run.latency();
-    out.perf = cardPerfReport(sys, out.targetLatencyCycles);
-    return out;
-}
-
-ScheduleResult
 scheduleFleetTargets(FleetLease &lease,
                      const std::vector<MarshalledTarget> &targets,
                      SchedulePolicy policy, const HardenPolicy *harden)

@@ -120,17 +120,10 @@ struct ScheduleResult
 };
 
 /**
- * Run every marshalled target through one FPGA system under the
- * given policy (plain, no fleet accounting).  The call drives the
- * event queue to completion.
- */
-ScheduleResult scheduleTargets(
-    FpgaSystem &sys, const std::vector<MarshalledTarget> &targets,
-    SchedulePolicy policy);
-
-/**
- * Run every marshalled target on @p lease's cards.  A one-card
- * fleet reproduces scheduleTargets cycle for cycle.  With @p harden
+ * Run every marshalled target on @p lease's cards, driving each
+ * card's event queue to completion.  A one-card lease
+ * (FleetConfig::singleCard) is the plain single-system run the
+ * paper's Figure 7 describes.  With @p harden
  * set, each card gets a fresh FaultInjector for its plan, and a
  * card whose units are all quarantined hands its unresolved
  * targets to the next card in id order (the last card falls back

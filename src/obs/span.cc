@@ -85,6 +85,7 @@ SpanTracer::threadNames() const
 
 ScopedSpan::ScopedSpan(const Observability *obs, std::string name,
                        std::string cat, std::string histogram)
+    : started(std::chrono::steady_clock::now())
 {
     if (!obs || !obs->on())
         return;
@@ -92,8 +93,6 @@ ScopedSpan::ScopedSpan(const Observability *obs, std::string name,
     nm = std::move(name);
     ct = std::move(cat);
     hist = std::move(histogram);
-    started = std::chrono::steady_clock::now();
-    open = true;
 }
 
 double
@@ -105,6 +104,8 @@ ScopedSpan::close()
     auto ended = std::chrono::steady_clock::now();
     double seconds =
         std::chrono::duration<double>(ended - started).count();
+    if (!o)
+        return seconds;
     if (o->tracer) {
         double end_us = o->tracer->nowUs();
         o->tracer->record(nm, ct, end_us - seconds * 1e6,

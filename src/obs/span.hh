@@ -18,9 +18,11 @@
  * (pid = contig id), all on a microsecond axis.
  *
  * Like every observability surface in this repository, tracing is
- * opt-in: instrumented code holds a nullable pointer and
- * ScopedSpan is a complete no-op (not even a clock read) when
- * constructed with a null bundle.
+ * opt-in: instrumented code holds a nullable pointer, and a
+ * ScopedSpan constructed with a null bundle records nothing.  It
+ * still reads the clock and returns the elapsed seconds, so the
+ * span is the one measurement of a stage whether or not a sink is
+ * attached.
  */
 
 #ifndef IRACC_OBS_SPAN_HH
@@ -117,10 +119,11 @@ struct Observability
 };
 
 /**
- * RAII span: on close (or destruction) records a trace span on the
- * bundle's tracer and samples the elapsed seconds into the named
- * duration histogram of the bundle's registry.  When @p obs is
- * null or empty the object is inert -- no clock is read.
+ * RAII span: on close (or destruction) measures the elapsed
+ * wall-clock seconds, records a trace span on the bundle's tracer
+ * and samples the seconds into the named duration histogram of the
+ * bundle's registry.  When @p obs is null or empty only the
+ * measurement is taken.
  */
 class ScopedSpan
 {
@@ -140,17 +143,17 @@ class ScopedSpan
 
     ~ScopedSpan() { close(); }
 
-    /** End the span; idempotent.  @return elapsed seconds
-     *  (0 when instrumentation is disabled). */
+    /** End the span.  @return elapsed seconds since construction
+     *  (0 on every call after the first). */
     double close();
 
   private:
-    const Observability *o = nullptr; ///< null when inert
+    const Observability *o = nullptr; ///< null when no sink
     std::string nm;
     std::string ct;
     std::string hist;
     std::chrono::steady_clock::time_point started;
-    bool open = false;
+    bool open = true;
 };
 
 /**

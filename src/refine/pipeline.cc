@@ -4,29 +4,25 @@
 #include "refine/bqsr.hh"
 #include "refine/duplicate_marker.hh"
 #include "refine/sort.hh"
-#include "util/timer.hh"
 
 namespace iracc {
 
 namespace {
 
 /**
- * Run one refinement stage: wall-clock seconds via Timer (the
- * RefineStageTimes contract predates the obs layer), plus -- when
- * instrumented -- one trace span and one histogram sample from the
- * same measurement, so printed breakdowns and exported metrics
- * agree.
+ * Run one refinement stage under one span and return its
+ * wall-clock seconds.  When instrumented, the trace span and the
+ * histogram sample are that same measurement, so printed
+ * breakdowns and exported metrics agree.
  */
 template <typename Fn>
 double
 timedStage(obs::Observability *obsv, const char *span_name,
            const char *histogram, Fn &&fn)
 {
-    Timer t;
     obs::ScopedSpan span(obsv, span_name, "refine", histogram);
     fn();
-    span.close();
-    return t.seconds();
+    return span.close();
 }
 
 } // namespace

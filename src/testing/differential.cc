@@ -788,6 +788,35 @@ diffStreamingVariant(const BackendVariant &variant,
                 statsString(s.whd).c_str(),
                 statsString(m.whd).c_str()));
     }
+    // Both runs fold the same contig results in the same order, so
+    // the job accounting matches exactly; `seconds` and
+    // `criticalPathSeconds` include host wall time and are skipped.
+    const RealignJobResult &sj = stream_result.job;
+    const RealignJobResult &mj = mem_result;
+    if (sj.contigs.size() != mj.contigs.size() ||
+        sj.fpgaSeconds != mj.fpgaSeconds ||
+        sj.fleet.busyCycles() != mj.fleet.busyCycles() ||
+        sj.fleet.steals() != mj.fleet.steals() ||
+        sj.targetLatencyCycles != mj.targetLatencyCycles ||
+        sj.targetLatencyNanos != mj.targetLatencyNanos ||
+        sj.status != mj.status ||
+        sj.degradedContigs != mj.degradedContigs ||
+        sj.failedContigs != mj.failedContigs) {
+        return DiffResult::fail(
+            label,
+            fmt("job accounting diverges: contigs %zu/%zu "
+                "fpgaSeconds %a/%a busy cycles %llu/%llu "
+                "target latencies %llu/%llu status %s/%s",
+                sj.contigs.size(), mj.contigs.size(), sj.fpgaSeconds,
+                mj.fpgaSeconds,
+                static_cast<unsigned long long>(sj.fleet.busyCycles()),
+                static_cast<unsigned long long>(mj.fleet.busyCycles()),
+                static_cast<unsigned long long>(
+                    sj.targetLatencyCycles.count()),
+                static_cast<unsigned long long>(
+                    mj.targetLatencyCycles.count()),
+                runStatusName(sj.status), runStatusName(mj.status)));
+    }
     return {};
 }
 

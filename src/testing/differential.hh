@@ -192,8 +192,11 @@ DiffResult diffScenarioFaultSeed(ScenarioProfile profile,
  * Streaming-ingest differential: serialize @p reads as SAM-lite,
  * realign them again through SamLiteBatchSource +
  * RealignSession::runStreamed, and require byte-identical SAM-lite
- * output and a fully identical RealignStats against the in-memory
- * run of the same design point -- for every variant in
+ * output, a fully identical RealignStats, and identical job
+ * accounting (contig count, summed fpgaSeconds bit for bit, fleet
+ * busy cycles and steals, target latency histograms, status and
+ * degraded/failed contigs) against the in-memory run of the same
+ * design point -- for every variant in
  * @p variants (the default matrix spans 1 and 4 job threads).
  * This is the executable form of the streaming bit-equality
  * contract (docs/TESTING.md).

@@ -36,36 +36,6 @@ class Timer
     Clock::time_point start;
 };
 
-/** Accumulates elapsed time across multiple start/stop windows. */
-class StageTimer
-{
-  public:
-    void
-    start()
-    {
-        running = true;
-        t.restart();
-    }
-
-    void
-    stop()
-    {
-        if (running)
-            total += t.seconds();
-        running = false;
-    }
-
-    /** @return total seconds across all completed windows. */
-    double seconds() const { return total; }
-
-    void reset() { total = 0.0; running = false; }
-
-  private:
-    Timer t;
-    double total = 0.0;
-    bool running = false;
-};
-
 } // namespace iracc
 
 #endif // IRACC_UTIL_TIMER_HH

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/realign_job.hh"
 #include "core/realigner_api.hh"
 #include "core/workload.hh"
 #include "util/logging.hh"
@@ -107,8 +108,7 @@ TEST(Backends, AllBackendsAgreeOnRealignment)
 
     // Reference result from the plain software backend.
     std::vector<Read> want = chr.reads;
-    auto ref_backend = makeBackend("gatk3-1t");
-    BackendRunResult ref_run = ref_backend->realignContig(
+    RealignJobResult ref_run = makeSession("gatk3-1t").runContig(
         wl.reference, chr.contig, want);
     ASSERT_GT(ref_run.stats.targets, 0u);
 
@@ -116,9 +116,9 @@ TEST(Backends, AllBackendsAgreeOnRealignment)
         if (name == "gatk3-1t")
             continue;
         std::vector<Read> reads = chr.reads;
-        auto backend = makeBackend(name);
-        BackendRunResult run = backend->realignContig(
-            wl.reference, chr.contig, reads);
+        RealignJobResult run =
+            makeSession(name).runContig(wl.reference, chr.contig,
+                                        reads);
         EXPECT_EQ(run.stats.readsRealigned,
                   ref_run.stats.readsRealigned) << name;
         for (size_t i = 0; i < reads.size(); ++i) {
@@ -142,9 +142,10 @@ TEST(Backends, AcceleratedReportsFpgaMetrics)
     GenomeWorkload wl = buildWorkload(tinyWorkload());
     const ChromosomeWorkload &chr = wl.chromosome(21);
     std::vector<Read> reads = chr.reads;
-    auto backend = makeBackend("iracc");
-    BackendRunResult run = backend->realignContig(wl.reference,
-                                                  chr.contig, reads);
+    RealignJobResult job = makeSession("iracc").runContig(
+        wl.reference, chr.contig, reads);
+    ASSERT_EQ(job.contigs.size(), 1u);
+    const BackendRunResult &run = job.contigs[0].run;
     EXPECT_GT(run.fpgaSeconds, 0.0);
     EXPECT_GE(run.unitUtilization, 0.0);
     EXPECT_LE(run.unitUtilization, 1.0);

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "accel/ir_compute.hh"
+#include "core/realign_job.hh"
 #include "core/realigner_api.hh"
 #include "genomics/io.hh"
 #include "realign/limits.hh"
@@ -355,8 +356,9 @@ TEST(RealignerEdge, ContigWithoutIndelsIsANoOp)
     }
     auto before = reads;
     RealignStats stats =
-        makeSoftwareBackend("sw", "", SoftwareRealignerConfig{})
-            ->realignContig(ref, 0, reads)
+        RealignSession(
+            makeSoftwareBackend("sw", "", SoftwareRealignerConfig{}))
+            .runContig(ref, 0, reads)
             .stats;
     EXPECT_EQ(stats.targets, 0u);
     EXPECT_EQ(stats.readsRealigned, 0u);

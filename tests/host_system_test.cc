@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/realign_job.hh"
 #include "core/realigner_api.hh"
 #include "core/workload.hh"
 #include "host/machine_config.hh"
@@ -61,10 +62,10 @@ TEST(FpgaEquivalence, MatchesSoftwareOnWholeChromosome)
     std::vector<Read> sw_reads = chr.reads;
     SoftwareRealignerConfig sw_cfg;
     sw_cfg.prune = false;
-    RealignStats sw_stats = makeSoftwareBackend("sw", "", sw_cfg)
-                                ->realignContig(wl.reference,
-                                                chr.contig, sw_reads)
-                                .stats;
+    RealignStats sw_stats =
+        RealignSession(makeSoftwareBackend("sw", "", sw_cfg))
+            .runContig(wl.reference, chr.contig, sw_reads)
+            .stats;
     ASSERT_GT(sw_stats.targets, 10u);
     ASSERT_GT(sw_stats.readsRealigned, 0u);
 
@@ -80,10 +81,11 @@ TEST(FpgaEquivalence, MatchesSoftwareOnWholeChromosome)
     auto want = alignmentFingerprint(sw_reads);
     for (const AccelCase &c : cases) {
         std::vector<Read> hw_reads = chr.reads;
-        BackendRunResult run =
-            makeAcceleratedBackend(c.label, "equivalence subject",
-                                   c.config, c.policy)
-                ->realignContig(wl.reference, chr.contig, hw_reads);
+        RealignJobResult run =
+            RealignSession(makeAcceleratedBackend(
+                               c.label, "equivalence subject",
+                               c.config, c.policy))
+                .runContig(wl.reference, chr.contig, hw_reads);
         EXPECT_EQ(run.stats.targets, sw_stats.targets) << c.label;
         EXPECT_EQ(run.stats.readsRealigned,
                   sw_stats.readsRealigned) << c.label;
@@ -103,11 +105,14 @@ TEST(FpgaSystemBehavior, DmaIsTinyFractionOfRuntime)
     GenomeWorkload wl = buildWorkload(smallWorkload());
     const ChromosomeWorkload &chr = wl.chromosome(21);
     std::vector<Read> reads = chr.reads;
-    BackendRunResult run =
-        makeAcceleratedBackend("iracc", "dma-share subject",
-                               AccelConfig::paperOptimized(),
-                               SchedulePolicy::AsynchronousParallel)
-            ->realignContig(wl.reference, chr.contig, reads);
+    RealignJobResult job =
+        RealignSession(makeAcceleratedBackend(
+                           "iracc", "dma-share subject",
+                           AccelConfig::paperOptimized(),
+                           SchedulePolicy::AsynchronousParallel))
+            .runContig(wl.reference, chr.contig, reads);
+    ASSERT_EQ(job.contigs.size(), 1u);
+    const BackendRunResult &run = job.contigs[0].run;
     // dmaFraction = DMA busy cycles / makespan.
     ASSERT_GT(run.fleet.busyCycles(), 0u);
     EXPECT_LT(run.dmaFraction, 0.05);
@@ -130,10 +135,11 @@ TEST(FpgaSystemBehavior, MoreUnitsIsFaster)
     // One card: its busy cycles are the makespan.
     auto makespan = [&](const AccelConfig &cfg) {
         std::vector<Read> reads = chr.reads;
-        return makeAcceleratedBackend(
-                   "scaling", "unit-scaling subject", cfg,
-                   SchedulePolicy::AsynchronousParallel)
-            ->realignContig(wl.reference, chr.contig, reads)
+        return RealignSession(makeAcceleratedBackend(
+                                  "scaling", "unit-scaling subject",
+                                  cfg,
+                                  SchedulePolicy::AsynchronousParallel))
+            .runContig(wl.reference, chr.contig, reads)
             .fleet.busyCycles();
     };
     const Cycle makespan_a = makespan(one);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <thread>
@@ -250,13 +251,19 @@ TEST(Metrics, PrometheusEmptySummaryExposesNaNQuantiles)
 
 // ---- Span tracing ------------------------------------------------
 
-TEST(Spans, ScopedSpanIsInertWhenNull)
+TEST(Spans, ScopedSpanMeasuresWithoutSinks)
 {
+    // With no sink attached a span records nothing but still
+    // returns its elapsed seconds, once: callers time stages with
+    // it whether or not they are instrumented.
     obs::ScopedSpan null_span(nullptr, "x", "y", "z");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_GE(null_span.close(), 0.001);
     EXPECT_DOUBLE_EQ(null_span.close(), 0.0);
 
     obs::Observability empty;
     obs::ScopedSpan empty_span(&empty, "x", "y");
+    EXPECT_GE(empty_span.close(), 0.0);
     EXPECT_DOUBLE_EQ(empty_span.close(), 0.0);
 }
 

@@ -67,8 +67,9 @@ runWithCounters(const std::vector<MarshalledTarget> &targets,
     cfg.numUnits = 4;
     cfg.perfCounters = true;
     cfg.perfTrace = trace;
-    FpgaSystem sys(cfg);
-    return scheduleTargets(sys, targets, policy).perf;
+    CardFleet fleet(FleetConfig::singleCard(cfg));
+    FleetLease lease = fleet.lease();
+    return scheduleFleetTargets(lease, targets, policy).perf;
 }
 
 TEST(PerfMonitor, DisabledByDefault)
@@ -168,9 +169,10 @@ TEST(PerfMonitor, TargetLatencyIsTheSchedulersHistogram)
     AccelConfig cfg = AccelConfig::paperOptimized();
     cfg.numUnits = 4;
     cfg.perfCounters = true;
-    FpgaSystem sys(cfg);
-    ScheduleResult one = scheduleTargets(
-        sys, targets, SchedulePolicy::AsynchronousParallel);
+    CardFleet one_card(FleetConfig::singleCard(cfg));
+    FleetLease one_lease = one_card.lease();
+    ScheduleResult one = scheduleFleetTargets(
+        one_lease, targets, SchedulePolicy::AsynchronousParallel);
     EXPECT_EQ(one.targetLatencyCycles.count(), targets.size());
     EXPECT_TRUE(one.perf.targetLatency == one.targetLatencyCycles);
 
@@ -201,8 +203,10 @@ TEST(PerfMonitor, WhdCountersConsistentAcrossScheduler)
                         SchedulePolicy::AsynchronousParallel}) {
         AccelConfig cfg = AccelConfig::paperOptimized();
         cfg.numUnits = 4;
-        FpgaSystem sys(cfg);
-        ScheduleResult res = scheduleTargets(sys, targets, policy);
+        CardFleet fleet(FleetConfig::singleCard(cfg));
+        FleetLease lease = fleet.lease();
+        ScheduleResult res =
+            scheduleFleetTargets(lease, targets, policy);
 
         // The system-level counters are exactly the sum of the
         // per-target datapath counters, and executed work never

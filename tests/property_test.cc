@@ -12,6 +12,7 @@
 
 #include "accel/ir_compute.hh"
 #include "accel/resource_model.hh"
+#include "core/realign_job.hh"
 #include "core/realigner_api.hh"
 #include "core/workload.hh"
 #include "realign/realigner.hh"
@@ -318,10 +319,10 @@ TEST_P(SeedSweep, FpgaMatchesSoftwareForAnyWorkload)
     std::vector<Read> sw_reads = chr.reads;
     SoftwareRealignerConfig cfg;
     cfg.prune = true;
-    RealignStats sw = makeSoftwareBackend("sw", "", cfg)
-                          ->realignContig(wl.reference, chr.contig,
-                                          sw_reads)
-                          .stats;
+    RealignStats sw =
+        RealignSession(makeSoftwareBackend("sw", "", cfg))
+            .runContig(wl.reference, chr.contig, sw_reads)
+            .stats;
 
     // The accelerated path must agree bit-for-bit.
     std::vector<Read> hw_reads = chr.reads;

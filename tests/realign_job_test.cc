@@ -3,8 +3,8 @@
  * Tests for the genome-level RealignJob engine: a multi-contig
  * read set through the staged pipeline must produce bit-identical
  * read updates and statistics for every backend, for any job
- * thread count, and for the per-contig shim -- the refactor's
- * central guarantee.
+ * thread count, and for contig-by-contig runContig calls -- the
+ * refactor's central guarantee.
  */
 
 #include <gtest/gtest.h>
@@ -220,19 +220,19 @@ TEST(RealignJob, FleetQueueDepthRecordsRawShardCounts)
     EXPECT_TRUE(job.perf.targetLatency == job.targetLatencyCycles);
 }
 
-TEST(RealignJob, MatchesPerContigShim)
+TEST(RealignJob, MatchesContigByContigRuns)
 {
     setQuiet(true);
     GenomeWorkload wl = buildWorkload(multiContigWorkload());
 
-    // Per-contig shim, one contig at a time.
-    std::vector<Read> shim_reads = allReads(wl);
-    auto backend = makeBackend("native");
-    RealignStats shim_stats;
+    // One-contig jobs, one contig at a time.
+    std::vector<Read> serial_reads = allReads(wl);
+    RealignSession serial = makeSession("native");
+    RealignStats serial_stats;
     for (const auto &chr : wl.chromosomes) {
-        BackendRunResult run = backend->realignContig(
-            wl.reference, chr.contig, shim_reads);
-        shim_stats.merge(run.stats);
+        RealignJobResult one =
+            serial.runContig(wl.reference, chr.contig, serial_reads);
+        serial_stats.merge(one.stats);
     }
 
     // One parallel genome-wide job.
@@ -242,9 +242,10 @@ TEST(RealignJob, MatchesPerContigShim)
     RealignJobResult job =
         makeSession("native", cfg).run(wl.reference, job_reads);
 
-    EXPECT_EQ(fingerprint(job_reads), fingerprint(shim_reads));
-    expectStatsEqual(job.stats, shim_stats, "job vs shim");
-    expectWhdEqual(job.stats.whd, shim_stats.whd, "job vs shim");
+    EXPECT_EQ(fingerprint(job_reads), fingerprint(serial_reads));
+    expectStatsEqual(job.stats, serial_stats, "job vs contig runs");
+    expectWhdEqual(job.stats.whd, serial_stats.whd,
+                   "job vs contig runs");
 }
 
 TEST(RealignJob, ModeledSecondsInvariantUnderThreads)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/realign_job.hh"
 #include "core/realigner_api.hh"
 #include "core/workload.hh"
 #include "util/logging.hh"
@@ -162,10 +163,10 @@ TEST(SoftwareRealigner, MovesMisalignedReadsToTruth)
 
     SoftwareRealignerConfig cfg;
     cfg.prune = true;
-    RealignStats stats = makeSoftwareBackend("sw", "", cfg)
-                             ->realignContig(wl.reference,
-                                             chr.contig, reads)
-                             .stats;
+    RealignStats stats =
+        RealignSession(makeSoftwareBackend("sw", "", cfg))
+            .runContig(wl.reference, chr.contig, reads)
+            .stats;
 
     ASSERT_GT(stats.targets, 5u);
     EXPECT_GT(stats.readsRealigned, 0u);
@@ -207,14 +208,14 @@ TEST(SoftwareRealigner, ThreadCountInvariant)
     SoftwareRealignerConfig cfg8;
     cfg8.threads = 8;
 
-    RealignStats s1 = makeSoftwareBackend("sw1", "", cfg1)
-                          ->realignContig(wl.reference, chr.contig,
-                                          serial)
-                          .stats;
-    RealignStats s8 = makeSoftwareBackend("sw8", "", cfg8)
-                          ->realignContig(wl.reference, chr.contig,
-                                          parallel)
-                          .stats;
+    RealignStats s1 =
+        RealignSession(makeSoftwareBackend("sw1", "", cfg1))
+            .runContig(wl.reference, chr.contig, serial)
+            .stats;
+    RealignStats s8 =
+        RealignSession(makeSoftwareBackend("sw8", "", cfg8))
+            .runContig(wl.reference, chr.contig, parallel)
+            .stats;
 
     EXPECT_EQ(s1.targets, s8.targets);
     EXPECT_EQ(s1.readsRealigned, s8.readsRealigned);
@@ -240,14 +241,14 @@ TEST(SoftwareRealigner, PruningDoesNotChangeResults)
     SoftwareRealignerConfig b;
     b.prune = true;
 
-    RealignStats sa = makeSoftwareBackend("a", "", a)
-                          ->realignContig(wl.reference, chr.contig,
-                                          no_prune)
-                          .stats;
-    RealignStats sb = makeSoftwareBackend("b", "", b)
-                          ->realignContig(wl.reference, chr.contig,
-                                          pruned)
-                          .stats;
+    RealignStats sa =
+        RealignSession(makeSoftwareBackend("a", "", a))
+            .runContig(wl.reference, chr.contig, no_prune)
+            .stats;
+    RealignStats sb =
+        RealignSession(makeSoftwareBackend("b", "", b))
+            .runContig(wl.reference, chr.contig, pruned)
+            .stats;
 
     EXPECT_EQ(sa.readsRealigned, sb.readsRealigned);
     for (size_t i = 0; i < no_prune.size(); ++i)

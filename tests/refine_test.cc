@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/realign_job.hh"
 #include "core/realigner_api.hh"
 #include "core/workload.hh"
 #include "refine/bqsr.hh"
@@ -247,8 +248,8 @@ TEST(Pipeline, RunsAllStagesAndTimesThem)
                             std::vector<Read> &rs) {
         SoftwareRealignerConfig cfg;
         cfg.prune = true;
-        return makeSoftwareBackend("sw", "", cfg)
-            ->realignContig(ref, contig, rs)
+        return RealignSession(makeSoftwareBackend("sw", "", cfg))
+            .runContig(ref, contig, rs)
             .stats;
     };
 

@@ -46,6 +46,17 @@ syntheticTarget(Rng &rng, size_t num_reads, size_t cons_len,
     return marshalTarget(input);
 }
 
+/** Run @p targets on a one-card lease of @p cfg. */
+ScheduleResult
+scheduleOnOneCard(const AccelConfig &cfg,
+                  const std::vector<MarshalledTarget> &targets,
+                  SchedulePolicy policy)
+{
+    CardFleet fleet(FleetConfig::singleCard(cfg));
+    FleetLease lease = fleet.lease();
+    return scheduleFleetTargets(lease, targets, policy);
+}
+
 TEST(Scheduler, BothPoliciesCompleteAllTargets)
 {
     Rng rng(5);
@@ -58,8 +69,7 @@ TEST(Scheduler, BothPoliciesCompleteAllTargets)
                         SchedulePolicy::AsynchronousParallel}) {
         AccelConfig cfg = AccelConfig::paperOptimized();
         cfg.numUnits = 4;
-        FpgaSystem sys(cfg);
-        ScheduleResult res = scheduleTargets(sys, targets, policy);
+        ScheduleResult res = scheduleOnOneCard(cfg, targets, policy);
         EXPECT_EQ(res.results.size(), targets.size());
         EXPECT_EQ(res.fpga.targetsProcessed, targets.size());
         EXPECT_EQ(res.timeline.size(), targets.size());
@@ -77,11 +87,10 @@ TEST(Scheduler, PoliciesProduceIdenticalResults)
 
     AccelConfig cfg = AccelConfig::paperOptimized();
     cfg.numUnits = 4;
-    FpgaSystem sys_a(cfg), sys_b(cfg);
-    ScheduleResult a = scheduleTargets(
-        sys_a, targets, SchedulePolicy::SynchronousParallel);
-    ScheduleResult b = scheduleTargets(
-        sys_b, targets, SchedulePolicy::AsynchronousParallel);
+    ScheduleResult a = scheduleOnOneCard(
+        cfg, targets, SchedulePolicy::SynchronousParallel);
+    ScheduleResult b = scheduleOnOneCard(
+        cfg, targets, SchedulePolicy::AsynchronousParallel);
 
     for (size_t t = 0; t < targets.size(); ++t) {
         EXPECT_EQ(a.results[t].bestConsensus,
@@ -113,11 +122,10 @@ TEST(Scheduler, Figure7AsyncBeatsSyncUnderVariance)
     cfg.numUnits = 4;
     cfg.dataParallelWidth = 1;
 
-    FpgaSystem sync_sys(cfg), async_sys(cfg);
-    ScheduleResult sync_res = scheduleTargets(
-        sync_sys, targets, SchedulePolicy::SynchronousParallel);
-    ScheduleResult async_res = scheduleTargets(
-        async_sys, targets, SchedulePolicy::AsynchronousParallel);
+    ScheduleResult sync_res = scheduleOnOneCard(
+        cfg, targets, SchedulePolicy::SynchronousParallel);
+    ScheduleResult async_res = scheduleOnOneCard(
+        cfg, targets, SchedulePolicy::AsynchronousParallel);
 
     EXPECT_LT(async_res.makespan, sync_res.makespan);
 
@@ -135,9 +143,8 @@ TEST(Scheduler, AsyncUtilizationHighOnUniformWork)
 
     AccelConfig cfg = AccelConfig::paperOptimized();
     cfg.numUnits = 8;
-    FpgaSystem sys(cfg);
-    ScheduleResult res = scheduleTargets(
-        sys, targets, SchedulePolicy::AsynchronousParallel);
+    ScheduleResult res = scheduleOnOneCard(
+        cfg, targets, SchedulePolicy::AsynchronousParallel);
     EXPECT_GT(res.fpga.meanUnitUtilization, 0.5);
 }
 
@@ -150,9 +157,8 @@ TEST(Scheduler, TimelineIsWellFormed)
 
     AccelConfig cfg = AccelConfig::paperOptimized();
     cfg.numUnits = 2;
-    FpgaSystem sys(cfg);
-    ScheduleResult res = scheduleTargets(
-        sys, targets, SchedulePolicy::AsynchronousParallel);
+    ScheduleResult res = scheduleOnOneCard(
+        cfg, targets, SchedulePolicy::AsynchronousParallel);
 
     for (const auto &e : res.timeline) {
         EXPECT_LE(e.dispatched, e.loaded);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/realign_job.hh"
 #include "core/realigner_api.hh"
 #include "core/workload.hh"
 #include "util/logging.hh"
@@ -196,10 +197,9 @@ TEST(SomaticEndToEnd, RealignmentImprovesSomaticIndelRecall)
     std::vector<Read> normal = chr.normalReads;
     SoftwareRealignerConfig cfg;
     cfg.prune = true;
-    makeSoftwareBackend("sw", "", cfg)
-        ->realignContig(wl.reference, chr.contig, tumor);
-    makeSoftwareBackend("sw", "", cfg)
-        ->realignContig(wl.reference, chr.contig, normal);
+    RealignSession session(makeSoftwareBackend("sw", "", cfg));
+    session.runContig(wl.reference, chr.contig, tumor);
+    session.runContig(wl.reference, chr.contig, normal);
     auto after = callSomaticVariants(wl.reference, tumor, normal,
                                      chr.contig, 0, len, sp);
     CallAccuracy acc_after = scoreSomaticCalls(after, chr.truth,

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "core/realigner_api.hh"
+#include "core/workload.hh"
 #include "genomics/io.hh"
 #include "genomics/stream_io.hh"
 #include "testing/differential.hh"
@@ -718,6 +720,38 @@ TEST(StreamFuzz, RandomMutationsNeverCrashFastqReader)
 TEST(StreamingBitEquality, MatchesInMemoryAcrossAllVariants)
 {
     difftest::DiffResult r = difftest::diffStreamingIngestSeed(1);
+    EXPECT_TRUE(r.ok) << r.variant << ": " << r.detail;
+}
+
+/**
+ * More contigs than job threads: the stream is cut into a group of
+ * four contigs and a group of two, and the job accounting
+ * (fpgaSeconds bit for bit) must still equal the in-memory run's,
+ * which folds the same six contig results in the same order.
+ * Summing each group first and then the group sums differs in the
+ * last bit on this seed.
+ */
+TEST(StreamingBitEquality, MultiContigGroupsFoldLikeInMemory)
+{
+    WorkloadParams params;
+    params.seed = 7;
+    params.chromosomes = {17, 18, 19, 20, 21, 22};
+    params.scaleDivisor = 20000;
+    params.minContigLength = 15000;
+    params.coverage = 8.0;
+    GenomeWorkload wl = buildWorkload(params);
+    std::vector<Read> reads;
+    for (const ChromosomeWorkload &chrom : wl.chromosomes)
+        reads.insert(reads.end(), chrom.reads.begin(),
+                     chrom.reads.end());
+    std::vector<BackendVariant> variants;
+    for (const BackendVariant &v : differentialVariants({4})) {
+        if (v.accelerated)
+            variants.push_back(v);
+    }
+    ASSERT_FALSE(variants.empty());
+    difftest::DiffResult r =
+        difftest::diffStreamingIngest(wl.reference, reads, variants);
     EXPECT_TRUE(r.ok) << r.variant << ": " << r.detail;
 }
 

@@ -16,7 +16,6 @@
 #include "util/stats.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
-#include "util/timer.hh"
 
 namespace iracc {
 namespace {
@@ -300,19 +299,6 @@ TEST(Table, Formatters)
     EXPECT_EQ(Table::num(3.14159, 2), "3.14");
     EXPECT_EQ(Table::pct(0.583, 1), "58.3%");
     EXPECT_EQ(Table::speedup(81.32, 1), "81.3x");
-}
-
-TEST(StageTimer, AccumulatesWindows)
-{
-    StageTimer t;
-    t.start();
-    t.stop();
-    double first = t.seconds();
-    t.start();
-    t.stop();
-    EXPECT_GE(t.seconds(), first);
-    t.reset();
-    EXPECT_EQ(t.seconds(), 0.0);
 }
 
 } // namespace

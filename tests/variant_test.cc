@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/realign_job.hh"
 #include "core/realigner_api.hh"
 #include "core/workload.hh"
 #include "util/logging.hh"
@@ -159,8 +160,8 @@ TEST(EndToEnd, RealignmentImprovesIndelCalling)
     std::vector<Read> reads = chr.reads;
     SoftwareRealignerConfig cfg;
     cfg.prune = true;
-    makeSoftwareBackend("sw", "", cfg)
-        ->realignContig(wl.reference, chr.contig, reads);
+    RealignSession(makeSoftwareBackend("sw", "", cfg))
+        .runContig(wl.reference, chr.contig, reads);
     auto after_calls = callVariants(wl.reference, reads, chr.contig,
                                     0, len, cp);
     CallAccuracy after = scoreCalls(after_calls, chr.truth, true);
